@@ -1,13 +1,18 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the hot substrate components:
- * event queue throughput, cache and TLB lookups, the DPC classifier,
- * access counters, and link arbitration. These bound the simulator's
+ * event queue throughput, cache accesses and page flushes, TLB lookups
+ * and fills, the DPC classifier, access counters, and link
+ * arbitration. These bound the simulator's
  * own speed (events/second), which determines how large a workload
  * the harness can regenerate.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <chrono>
+#include <vector>
 
 #include "src/core/dpc.hh"
 #include "src/gpu/access_counter.hh"
@@ -148,19 +153,80 @@ BM_CacheAccess(benchmark::State &state)
 BENCHMARK(BM_CacheAccess)->Arg(16 * 1024)->Arg(2 * 1024 * 1024);
 
 static void
+BM_CacheFlushPages(benchmark::State &state)
+{
+    // An ACUD drain's cache work: flush a few migrating pages out of a
+    // full cache. Args: cache bytes, pages per flush (4 KB pages).
+    constexpr unsigned pageShift = 12;
+    constexpr Addr pageBytes = Addr(1) << pageShift;
+    const std::uint64_t bytes = std::uint64_t(state.range(0));
+    const PageId per_flush = PageId(state.range(1));
+    mem::Cache cache(mem::CacheConfig{bytes, bytes > 64 * 1024 ? 16u : 4u,
+                                      64, 1});
+    const PageId footprint = bytes / pageBytes;
+    const auto fill = [&](PageId first, PageId count) {
+        for (PageId p = first; p < first + count; ++p)
+            for (Addr a = 0; a < pageBytes; a += 64)
+                cache.access(p * pageBytes + a, (a / 64) % 3 == 0);
+    };
+    fill(0, footprint);
+
+    std::vector<PageId> pages(per_flush);
+    PageId next = 0;
+    for (auto _ : state) {
+        for (PageId i = 0; i < per_flush; ++i)
+            pages[i] = (next + i) % footprint;
+        std::sort(pages.begin(), pages.end());
+        // Manual time: only the flush is measured, not the refill.
+        const auto start = std::chrono::steady_clock::now();
+        benchmark::DoNotOptimize(cache.flushPages(pages, pageShift));
+        state.SetIterationTime(std::chrono::duration<double>(
+            std::chrono::steady_clock::now() - start).count());
+        for (const PageId p : pages)
+            fill(p, 1);
+        next = (next + per_flush) % footprint;
+    }
+    state.SetItemsProcessed(std::int64_t(state.iterations()));
+}
+BENCHMARK(BM_CacheFlushPages)
+    ->ArgsProduct({{2 * 1024 * 1024, 16 * 1024}, {1, 5, 20}})
+    ->UseManualTime();
+
+static void
 BM_TlbLookupHit(benchmark::State &state)
 {
-    xlat::Tlb tlb(xlat::TlbConfig{32, 16, 1});
-    for (PageId p = 0; p < 512; ++p)
+    // Args: sets, ways. 1 x 32 is the per-CU L1 TLB, 32 x 16 the L2.
+    xlat::Tlb tlb(xlat::TlbConfig{unsigned(state.range(0)),
+                                  unsigned(state.range(1)), 1});
+    const PageId entries = tlb.capacity();
+    for (PageId p = 0; p < entries; ++p)
         tlb.fill(p, 1);
     PageId p = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(tlb.lookup(p));
-        p = (p + 1) % 512;
+        p = (p + 1) % entries;
     }
     state.SetItemsProcessed(std::int64_t(state.iterations()));
 }
-BENCHMARK(BM_TlbLookupHit);
+BENCHMARK(BM_TlbLookupHit)->Args({32, 16})->Args({1, 32});
+
+static void
+BM_TlbFillEvict(benchmark::State &state)
+{
+    // Cycling through twice the capacity: every fill misses and
+    // evicts the LRU way of a full set. Args: sets, ways.
+    xlat::Tlb tlb(xlat::TlbConfig{unsigned(state.range(0)),
+                                  unsigned(state.range(1)), 1});
+    const PageId pages = 2 * PageId(tlb.capacity());
+    PageId p = 0;
+    for (auto _ : state) {
+        tlb.fill(p, 1);
+        p = (p + 1) % pages;
+    }
+    benchmark::DoNotOptimize(tlb.validEntries());
+    state.SetItemsProcessed(std::int64_t(state.iterations()));
+}
+BENCHMARK(BM_TlbFillEvict)->Args({1, 32})->Args({32, 16});
 
 static void
 BM_AccessCounterRecord(benchmark::State &state)

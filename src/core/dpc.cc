@@ -45,12 +45,9 @@ Dpc::addCounts(DeviceId gpu, const std::vector<gpu::PageCount> &counts)
     for (const auto &pc : counts) {
         auto [it, inserted] = _pages.try_emplace(pc.page);
         PageState &st = it->second;
-        if (inserted) {
-            st.filtered.assign(_numGpus, 0.0);
-            st.previous.assign(_numGpus, 0.0);
-            st.pending.assign(_numGpus, 0);
-        }
-        st.pending[g] += pc.count;
+        if (inserted)
+            st.gpus.resize(_numGpus);
+        st.gpus[g].pending += pc.count;
     }
 }
 
@@ -65,12 +62,12 @@ Dpc::endPeriod(const mem::PageTable &pt)
 
         // EWMA update; unreported GPUs contribute N = 0 and decay.
         bool any_alive = false;
-        for (unsigned g = 0; g < _numGpus; ++g) {
-            st.previous[g] = st.filtered[g];
-            st.filtered[g] = (1.0 - _config.alpha) * st.filtered[g] +
-                             _config.alpha * double(st.pending[g]);
-            st.pending[g] = 0;
-            any_alive = any_alive || st.filtered[g] >= gcThreshold;
+        for (GpuCounts &c : st.gpus) {
+            c.previous = c.filtered;
+            c.filtered = (1.0 - _config.alpha) * c.filtered +
+                         _config.alpha * double(c.pending);
+            c.pending = 0;
+            any_alive = any_alive || c.filtered >= gcThreshold;
         }
         if (!any_alive) {
             it = _pages.erase(it);
@@ -113,7 +110,7 @@ Dpc::endPeriod(const mem::PageTable &pt)
             if (wants_move) {
                 candidates.push_back(MigrationCandidate{
                     page, pi.location, target, cls,
-                    st.filtered[best_gpu]});
+                    st.gpus[best_gpu].filtered});
             }
         }
         ++it;
@@ -137,12 +134,13 @@ Dpc::classifyState(const PageState &st, DeviceId location,
     unsigned max_g = 0;
     double max_c = -1.0, second_c = 0.0;
     for (unsigned g = 0; g < _numGpus; ++g) {
-        if (st.filtered[g] > max_c) {
+        const double c = st.gpus[g].filtered;
+        if (c > max_c) {
             second_c = max_c;
-            max_c = st.filtered[g];
+            max_c = c;
             max_g = g;
-        } else if (st.filtered[g] > second_c) {
-            second_c = st.filtered[g];
+        } else if (c > second_c) {
+            second_c = c;
         }
     }
     if (second_c < 0.0)
@@ -151,7 +149,7 @@ Dpc::classifyState(const PageState &st, DeviceId location,
 
     const bool owner_is_gpu = location != cpuDeviceId;
     const unsigned owner_g = owner_is_gpu ? unsigned(location - 1) : 0;
-    const double owner_c = owner_is_gpu ? st.filtered[owner_g] : 0.0;
+    const double owner_c = owner_is_gpu ? st.gpus[owner_g].filtered : 0.0;
 
     // Streaming: the rate stays below lambda_t accesses/cycle — not
     // enough locality to amortize a migration.
@@ -180,24 +178,23 @@ Dpc::classifyState(const PageState &st, DeviceId location,
     // (paper SS VII future work) the riser only needs to be projected
     // to overtake the owner within the look-ahead window.
     if (owner_is_gpu &&
-        st.filtered[owner_g] < st.previous[owner_g] - trendEps) {
-        const double owner_fall =
-            st.previous[owner_g] - st.filtered[owner_g];
+        owner_c < st.gpus[owner_g].previous - trendEps) {
+        const double owner_fall = st.gpus[owner_g].previous - owner_c;
         double best_rise = 0.0;
         unsigned riser = owner_g;
         for (unsigned g = 0; g < _numGpus; ++g) {
             if (g == owner_g)
                 continue;
-            const double rise = st.filtered[g] - st.previous[g];
+            const GpuCounts &c = st.gpus[g];
+            const double rise = c.filtered - c.previous;
             if (rise <= trendEps || rise <= best_rise)
                 continue;
-            const bool overtakes_now = st.filtered[g] > owner_c;
+            const bool overtakes_now = c.filtered > owner_c;
             // Linear extrapolation: riser climbs by `rise` per period
             // while the owner keeps falling by `owner_fall`.
             const bool overtakes_soon =
                 _config.enablePredictiveMigration &&
-                st.filtered[g] +
-                        _config.predictiveLookahead * rise >
+                c.filtered + _config.predictiveLookahead * rise >
                     owner_c - _config.predictiveLookahead * owner_fall;
             if (overtakes_now || overtakes_soon) {
                 best_rise = rise;
@@ -229,7 +226,11 @@ Dpc::filteredCounts(PageId page) const
     auto it = _pages.find(page);
     if (it == _pages.end())
         return std::vector<double>(_numGpus, 0.0);
-    return it->second.filtered;
+    std::vector<double> out;
+    out.reserve(_numGpus);
+    for (const GpuCounts &c : it->second.gpus)
+        out.push_back(c.filtered);
+    return out;
 }
 
 } // namespace griffin::core

@@ -104,11 +104,18 @@ class Dpc
     /** @} */
 
   private:
+    /** One GPU's counts of one page. */
+    struct GpuCounts
+    {
+        double filtered = 0.0;
+        double previous = 0.0;
+        std::uint32_t pending = 0; ///< raw counts this period
+    };
+
     struct PageState
     {
-        std::vector<double> filtered;
-        std::vector<double> previous;
-        std::vector<std::uint32_t> pending; ///< raw counts this period
+        /** Indexed by GPU (index 0 = GPU device 1); one allocation. */
+        std::vector<GpuCounts> gpus;
         /** Last class this page was observed in (-1 = never). */
         int lastClass = -1;
     };

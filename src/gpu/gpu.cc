@@ -450,17 +450,24 @@ Gpu::flushCachesForPages(const std::vector<PageId> &pages)
 std::vector<PageCount>
 Gpu::collectAccessCounts()
 {
-    std::unordered_map<PageId, std::uint32_t> merged;
-    for (auto &se : _ses) {
-        for (const auto &pc : se.counter().collectTop(
-                 _config.accessCounterTopN)) {
-            merged[pc.page] += pc.count;
-        }
-    }
+    // Concatenate the per-SE top lists, then sum each page's entries
+    // in place after sorting by page.
     std::vector<PageCount> out;
-    out.reserve(merged.size());
-    for (const auto &[page, count] : merged)
-        out.push_back(PageCount{page, count});
+    for (auto &se : _ses) {
+        const auto top = se.counter().collectTop(_config.accessCounterTopN);
+        out.insert(out.end(), top.begin(), top.end());
+    }
+    std::sort(out.begin(), out.end(), [](const auto &a, const auto &b) {
+        return a.page < b.page;
+    });
+    std::size_t merged = 0;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        if (merged > 0 && out[merged - 1].page == out[i].page)
+            out[merged - 1].count += out[i].count;
+        else
+            out[merged++] = out[i];
+    }
+    out.resize(merged);
     std::sort(out.begin(), out.end(), [](const auto &a, const auto &b) {
         if (a.count != b.count)
             return a.count > b.count;

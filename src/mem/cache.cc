@@ -17,37 +17,21 @@ Cache::Cache(const CacheConfig &config) : _config(config)
     _numSets = unsigned(config.sizeBytes /
                         (std::uint64_t(config.lineBytes) * config.assoc));
     assert(_numSets > 0);
-    _lines.resize(std::size_t(_numSets) * config.assoc);
+    const std::size_t ways = std::size_t(_numSets) * config.assoc;
+    _tags.assign(ways, invalidTag);
+    _lastUse.assign(ways, 0);
+    _dirty.assign(ways, 0);
 }
 
-Addr
-Cache::lineAddr(Addr addr) const
+std::size_t
+Cache::findWay(Addr line, std::size_t base) const
 {
-    return addr >> _lineShift;
-}
-
-unsigned
-Cache::setIndex(Addr addr) const
-{
-    return unsigned(lineAddr(addr) % _numSets);
-}
-
-Cache::Line *
-Cache::findLine(Addr addr)
-{
-    const Addr tag = lineAddr(addr);
-    Line *set = &_lines[std::size_t(setIndex(addr)) * _config.assoc];
+    const Addr *tags = &_tags[base];
     for (unsigned way = 0; way < _config.assoc; ++way) {
-        if (set[way].valid && set[way].tag == tag)
-            return &set[way];
+        if (tags[way] == line)
+            return base + way;
     }
-    return nullptr;
-}
-
-const Cache::Line *
-Cache::findLine(Addr addr) const
-{
-    return const_cast<Cache *>(this)->findLine(addr);
+    return noWay;
 }
 
 Cache::AccessResult
@@ -55,11 +39,14 @@ Cache::access(Addr addr, bool is_write)
 {
     AccessResult result;
     ++_useClock;
+    const Addr line = lineAddr(addr);
 
-    if (Line *line = findLine(addr)) {
+    const std::size_t base = setBase(line);
+    if (const std::size_t way = findWay(line, base); way != noWay) {
         ++hits;
-        line->lastUse = _useClock;
-        line->dirty = line->dirty || is_write;
+        _lastUse[way] = _useClock;
+        if (is_write)
+            _dirty[way] = 1;
         result.hit = true;
         return result;
     }
@@ -67,57 +54,82 @@ Cache::access(Addr addr, bool is_write)
     ++misses;
 
     // Pick a victim: an invalid way if one exists, else true LRU.
-    Line *set = &_lines[std::size_t(setIndex(addr)) * _config.assoc];
-    Line *victim = &set[0];
-    for (unsigned way = 0; way < _config.assoc; ++way) {
-        if (!set[way].valid) {
-            victim = &set[way];
+    std::size_t victim = base;
+    for (std::size_t way = base; way < base + _config.assoc; ++way) {
+        if (_tags[way] == invalidTag) {
+            victim = way;
             break;
         }
-        if (set[way].lastUse < victim->lastUse)
-            victim = &set[way];
+        if (_lastUse[way] < _lastUse[victim])
+            victim = way;
     }
 
-    if (victim->valid) {
+    if (_tags[victim] != invalidTag) {
         ++evictions;
-        if (victim->dirty) {
+        if (_dirty[victim]) {
             ++writebacks;
             result.writeback = true;
-            result.writebackAddr = victim->tag << _lineShift;
+            result.writebackAddr = _tags[victim] << _lineShift;
         }
     }
 
-    victim->tag = lineAddr(addr);
-    victim->valid = true;
-    victim->dirty = is_write;
-    victim->lastUse = _useClock;
+    _tags[victim] = line;
+    _dirty[victim] = is_write ? 1 : 0;
+    _lastUse[victim] = _useClock;
     return result;
 }
 
 bool
 Cache::probe(Addr addr) const
 {
-    return findLine(addr) != nullptr;
+    const Addr line = lineAddr(addr);
+    return findWay(line, setBase(line)) != noWay;
+}
+
+void
+Cache::invalidateWay(std::size_t way, FlushResult &result)
+{
+    _tags[way] = invalidTag;
+    ++result.linesInvalidated;
+    if (_dirty[way]) {
+        ++result.dirtyWritebacks;
+        ++writebacks;
+        _dirty[way] = 0;
+    }
 }
 
 Cache::FlushResult
 Cache::flushPages(const std::vector<PageId> &pages, unsigned page_shift)
 {
     assert(std::is_sorted(pages.begin(), pages.end()));
+    assert(page_shift >= _lineShift);
     FlushResult result;
     const unsigned page_line_shift = page_shift - _lineShift;
-    for (Line &line : _lines) {
-        if (!line.valid)
-            continue;
-        const PageId page = line.tag >> page_line_shift;
-        if (!std::binary_search(pages.begin(), pages.end(), page))
-            continue;
-        line.valid = false;
-        ++result.linesInvalidated;
-        if (line.dirty) {
-            ++result.dirtyWritebacks;
-            ++writebacks;
-            line.dirty = false;
+    const std::uint64_t lines_per_page = std::uint64_t(1) << page_line_shift;
+
+    if (pages.size() * lines_per_page >= _numSets) {
+        // The pages reach every set: one pass over the tags.
+        for (std::size_t way = 0; way < _tags.size(); ++way) {
+            if (_tags[way] == invalidTag)
+                continue;
+            const PageId page = _tags[way] >> page_line_shift;
+            if (std::binary_search(pages.begin(), pages.end(), page))
+                invalidateWay(way, result);
+        }
+        return result;
+    }
+
+    // Sparse pages: probe each of their lines through its set. A
+    // page's lines fall in consecutive sets.
+    for (const PageId page : pages) {
+        Addr line = Addr(page) << page_line_shift;
+        std::size_t base = setBase(line);
+        for (std::uint64_t i = 0; i < lines_per_page; ++i, ++line) {
+            if (const std::size_t way = findWay(line, base); way != noWay)
+                invalidateWay(way, result);
+            base += _config.assoc;
+            if (base == _tags.size())
+                base = 0;
         }
     }
     return result;
@@ -127,16 +139,9 @@ Cache::FlushResult
 Cache::flushAll()
 {
     FlushResult result;
-    for (Line &line : _lines) {
-        if (!line.valid)
-            continue;
-        line.valid = false;
-        ++result.linesInvalidated;
-        if (line.dirty) {
-            ++result.dirtyWritebacks;
-            ++writebacks;
-            line.dirty = false;
-        }
+    for (std::size_t way = 0; way < _tags.size(); ++way) {
+        if (_tags[way] != invalidTag)
+            invalidateWay(way, result);
     }
     return result;
 }
@@ -144,10 +149,9 @@ Cache::flushAll()
 std::uint64_t
 Cache::validLines() const
 {
-    std::uint64_t count = 0;
-    for (const Line &line : _lines)
-        count += line.valid ? 1 : 0;
-    return count;
+    return std::uint64_t(std::count_if(
+        _tags.begin(), _tags.end(),
+        [](Addr tag) { return tag != invalidTag; }));
 }
 
 } // namespace griffin::mem

@@ -12,6 +12,7 @@
 #ifndef GRIFFIN_MEM_CACHE_HH
 #define GRIFFIN_MEM_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -67,7 +68,14 @@ class Cache
     /** Check residency without touching LRU state. */
     bool probe(Addr addr) const;
 
-    /** Invalidate all lines belonging to the given (sorted) pages. */
+    /**
+     * Invalidate all lines belonging to the given (sorted) pages.
+     *
+     * When pages x lines/page < numSets, each line of each page is
+     * probed through its set: O(pages x lines/page x assoc). Otherwise
+     * the pages reach every set and one O(lines) pass over the tags is
+     * no dearer.
+     */
     FlushResult flushPages(const std::vector<PageId> &pages,
                            unsigned page_shift);
 
@@ -85,24 +93,33 @@ class Cache
     /** @} */
 
   private:
-    struct Line
-    {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lastUse = 0;
-    };
+    /** Tag of an invalid way; no line address can take this value. */
+    static constexpr Addr invalidTag = ~Addr(0);
+    /** findWay() result when the line is not resident. */
+    static constexpr std::size_t noWay = ~std::size_t(0);
 
     CacheConfig _config;
     unsigned _numSets;
     unsigned _lineShift;
-    std::vector<Line> _lines; // numSets * assoc, set-major
+    /**
+     * Way arrays, numSets * assoc each, set-major. Lookups scan only
+     * _tags; _lastUse and _dirty are touched on a hit or a fill.
+     */
+    std::vector<Addr> _tags;
+    std::vector<std::uint64_t> _lastUse;
+    std::vector<std::uint8_t> _dirty;
     std::uint64_t _useClock = 0;
 
-    Addr lineAddr(Addr addr) const;
-    unsigned setIndex(Addr addr) const;
-    Line *findLine(Addr addr);
-    const Line *findLine(Addr addr) const;
+    Addr lineAddr(Addr addr) const { return addr >> _lineShift; }
+    /** Index of way 0 of the set holding line address @p line. */
+    std::size_t setBase(Addr line) const
+    {
+        return std::size_t(line % _numSets) * _config.assoc;
+    }
+    /** Way index of @p line in the set starting at @p base, or noWay. */
+    std::size_t findWay(Addr line, std::size_t base) const;
+    /** Invalidate resident way @p way, counting it into @p result. */
+    void invalidateWay(std::size_t way, FlushResult &result);
 };
 
 } // namespace griffin::mem

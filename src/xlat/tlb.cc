@@ -1,5 +1,6 @@
 #include "src/xlat/tlb.hh"
 
+#include <algorithm>
 #include <cassert>
 
 namespace griffin::xlat {
@@ -7,34 +8,33 @@ namespace griffin::xlat {
 Tlb::Tlb(const TlbConfig &config) : _config(config)
 {
     assert(config.numSets > 0 && config.assoc > 0);
-    _entries.resize(std::size_t(config.numSets) * config.assoc);
+    const std::size_t ways = std::size_t(config.numSets) * config.assoc;
+    _pages.assign(ways, invalidPage);
+    _locations.assign(ways, invalidDeviceId);
+    _lastUse.assign(ways, 0);
 }
 
-Tlb::Entry *
-Tlb::findEntry(PageId page)
+std::size_t
+Tlb::findWay(PageId page) const
 {
-    Entry *set = &_entries[std::size_t(setIndex(page)) * _config.assoc];
+    const std::size_t base = setBase(page);
+    const PageId *pages = &_pages[base];
     for (unsigned way = 0; way < _config.assoc; ++way) {
-        if (set[way].valid && set[way].page == page)
-            return &set[way];
+        if (pages[way] == page)
+            return base + way;
     }
-    return nullptr;
-}
-
-const Tlb::Entry *
-Tlb::findEntry(PageId page) const
-{
-    return const_cast<Tlb *>(this)->findEntry(page);
+    return noWay;
 }
 
 std::optional<DeviceId>
 Tlb::lookup(PageId page)
 {
+    assert(page != invalidPage);
     ++_useClock;
-    if (Entry *entry = findEntry(page)) {
+    if (const std::size_t way = findWay(page); way != noWay) {
         ++hits;
-        entry->lastUse = _useClock;
-        return entry->location;
+        _lastUse[way] = _useClock;
+        return _locations[way];
     }
     ++misses;
     return std::nullopt;
@@ -43,42 +43,44 @@ Tlb::lookup(PageId page)
 bool
 Tlb::probe(PageId page) const
 {
-    return findEntry(page) != nullptr;
+    assert(page != invalidPage);
+    return findWay(page) != noWay;
 }
 
 void
 Tlb::fill(PageId page, DeviceId location)
 {
+    assert(page != invalidPage);
     ++_useClock;
     ++fills;
 
-    if (Entry *entry = findEntry(page)) {
-        entry->location = location;
-        entry->lastUse = _useClock;
+    if (const std::size_t way = findWay(page); way != noWay) {
+        _locations[way] = location;
+        _lastUse[way] = _useClock;
         return;
     }
 
-    Entry *set = &_entries[std::size_t(setIndex(page)) * _config.assoc];
-    Entry *victim = &set[0];
-    for (unsigned way = 0; way < _config.assoc; ++way) {
-        if (!set[way].valid) {
-            victim = &set[way];
+    const std::size_t base = setBase(page);
+    std::size_t victim = base;
+    for (std::size_t way = base; way < base + _config.assoc; ++way) {
+        if (_pages[way] == invalidPage) {
+            victim = way;
             break;
         }
-        if (set[way].lastUse < victim->lastUse)
-            victim = &set[way];
+        if (_lastUse[way] < _lastUse[victim])
+            victim = way;
     }
-    victim->page = page;
-    victim->location = location;
-    victim->valid = true;
-    victim->lastUse = _useClock;
+    _pages[victim] = page;
+    _locations[victim] = location;
+    _lastUse[victim] = _useClock;
 }
 
 bool
 Tlb::invalidatePage(PageId page)
 {
-    if (Entry *entry = findEntry(page)) {
-        entry->valid = false;
+    assert(page != invalidPage);
+    if (const std::size_t way = findWay(page); way != noWay) {
+        _pages[way] = invalidPage;
         ++invalidations;
         return true;
     }
@@ -89,9 +91,9 @@ std::uint64_t
 Tlb::invalidateAll()
 {
     std::uint64_t count = 0;
-    for (Entry &entry : _entries) {
-        if (entry.valid) {
-            entry.valid = false;
+    for (PageId &page : _pages) {
+        if (page != invalidPage) {
+            page = invalidPage;
             ++count;
         }
     }
@@ -102,19 +104,18 @@ Tlb::invalidateAll()
 std::uint64_t
 Tlb::validEntries() const
 {
-    std::uint64_t count = 0;
-    for (const Entry &entry : _entries)
-        count += entry.valid ? 1 : 0;
-    return count;
+    return std::uint64_t(std::count_if(
+        _pages.begin(), _pages.end(),
+        [](PageId page) { return page != invalidPage; }));
 }
 
 void
 Tlb::forEachValid(
     const std::function<void(PageId, DeviceId)> &visit) const
 {
-    for (const Entry &entry : _entries) {
-        if (entry.valid)
-            visit(entry.page, entry.location);
+    for (std::size_t way = 0; way < _pages.size(); ++way) {
+        if (_pages[way] != invalidPage)
+            visit(_pages[way], _locations[way]);
     }
 }
 

@@ -12,6 +12,7 @@
 #ifndef GRIFFIN_XLAT_TLB_HH
 #define GRIFFIN_XLAT_TLB_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -81,21 +82,28 @@ class Tlb
     /** @} */
 
   private:
-    struct Entry
-    {
-        PageId page = 0;
-        DeviceId location = invalidDeviceId;
-        bool valid = false;
-        std::uint64_t lastUse = 0;
-    };
+    /** Page of an invalid way; no translated page takes this value. */
+    static constexpr PageId invalidPage = ~PageId(0);
+    /** findWay() result when the page is not resident. */
+    static constexpr std::size_t noWay = ~std::size_t(0);
 
     TlbConfig _config;
-    std::vector<Entry> _entries; // set-major
+    /**
+     * Way arrays, numSets * assoc each, set-major. Lookups scan only
+     * _pages; _locations and _lastUse are touched on a hit or a fill.
+     */
+    std::vector<PageId> _pages;
+    std::vector<DeviceId> _locations;
+    std::vector<std::uint64_t> _lastUse;
     std::uint64_t _useClock = 0;
 
-    unsigned setIndex(PageId page) const { return unsigned(page % _config.numSets); }
-    Entry *findEntry(PageId page);
-    const Entry *findEntry(PageId page) const;
+    /** Index of way 0 of @p page's set. */
+    std::size_t setBase(PageId page) const
+    {
+        return std::size_t(page % _config.numSets) * _config.assoc;
+    }
+    /** Way index (into the way arrays) of @p page, or noWay. */
+    std::size_t findWay(PageId page) const;
 };
 
 } // namespace griffin::xlat
