@@ -2,8 +2,8 @@
  * @file
  * google-benchmark microbenchmarks for the hot substrate components:
  * event queue throughput, cache accesses and page flushes, TLB lookups
- * and fills, the DPC classifier, access counters, and link
- * arbitration. These bound the simulator's
+ * and fills, the DPC classifier, access counters, link arbitration
+ * and fabric send + deliver. These bound the simulator's
  * own speed (events/second), which determines how large a workload
  * the harness can regenerate.
  */
@@ -17,8 +17,10 @@
 #include "src/core/dpc.hh"
 #include "src/gpu/access_counter.hh"
 #include "src/interconnect/link.hh"
+#include "src/interconnect/switch.hh"
 #include "src/mem/cache.hh"
 #include "src/mem/page_table.hh"
+#include "src/sim/engine.hh"
 #include "src/sim/event_queue.hh"
 #include "src/sim/rng.hh"
 #include "src/xlat/tlb.hh"
@@ -279,6 +281,38 @@ BM_LinkSend(benchmark::State &state)
     state.SetItemsProcessed(std::int64_t(state.iterations()));
 }
 BENCHMARK(BM_LinkSend);
+
+static void
+BM_NetworkSendDeliver(benchmark::State &state)
+{
+    // One fabric message per item: Network::send reserves both wires
+    // and schedules the receiver's callback, which the engine then
+    // dispatches. The callback captures two pointers, the shape of
+    // the simulator's {component, record} receivers.
+    const std::size_t batch = std::size_t(state.range(0));
+    const unsigned devices = 5;
+    sim::Engine engine;
+    ic::Network net(engine, devices, ic::LinkConfig{32.0, 250});
+    std::uint64_t delivered = 0;
+    std::uint64_t bytes = 0;
+    for (auto _ : state) {
+        for (std::size_t i = 0; i < batch; ++i) {
+            const DeviceId src = DeviceId(i % devices);
+            const DeviceId dst = DeviceId(
+                (src + 1 + (i / devices) % (devices - 1)) % devices);
+            net.send(src, dst, 64, [d = &delivered, b = &bytes] {
+                ++*d;
+                *b += 64;
+            });
+        }
+        engine.run();
+    }
+    benchmark::DoNotOptimize(delivered);
+    benchmark::DoNotOptimize(bytes);
+    state.SetItemsProcessed(std::int64_t(state.iterations()) *
+                            std::int64_t(batch));
+}
+BENCHMARK(BM_NetworkSendDeliver)->Arg(64)->Arg(1024);
 
 static void
 BM_PageTableOccupancy(benchmark::State &state)

@@ -90,6 +90,7 @@ MigrationExecutor::executeBatch(const MigrationBatch &batch,
     // 2. Drain command travels to the source GPU.
     _network.send(cpuDeviceId, source, ic::MessageSizes::drainCommand,
                   [this, src_gpu, pages, state, source]() mutable {
+        GHPROF_SCOPE("acud", "drain_command");
         auto after_quiesce = [this, src_gpu, pages, state,
                               source]() mutable {
             const bool selective = _useAcud;

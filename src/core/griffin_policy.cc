@@ -186,6 +186,7 @@ GriffinPolicy::onCountsCollected()
                     << " (" << batch.moves.size() << " pages)");
         _executor.executeBatch(batch, [this, remaining, phase_begin,
                                        num_batches, phase_pages] {
+            GHPROF_SCOPE("policy", "batch_done");
             if (--*remaining == 0) {
                 _migrationInFlight = false;
                 if (auto *tr = obs::TraceSession::activeFor(

@@ -19,7 +19,7 @@ void
 ComputeUnit::startWorkgroup(wl::Workgroup wg, sim::EventFn on_done)
 {
     assert(!_wgActive && "CU runs one workgroup at a time");
-    assert(_inflight.empty());
+    assert(_inflightOps == 0);
 
     _wgActive = true;
     _wg = std::move(wg);
@@ -80,30 +80,26 @@ ComputeUnit::issueOp(std::size_t wf_index)
     WfState &wf = _wfStates[wf_index];
     const wl::MemOp &op = _wg.wavefronts[wf_index].ops[wf.pc];
 
-    const std::uint64_t seq = _nextSeq++;
-    _inflight.emplace(seq, wf_index);
+    wf.seq = _nextSeq++;
     wf.inFlight = true;
+    ++_inflightOps;
     ++opsIssued;
 
-    _memory.cuAccess(_cuId, op.vaddr, op.isWrite,
-                     [this, seq] { onOpDone(seq); });
+    _memory.cuAccess(*this, std::uint32_t(wf_index), wf.seq, op.vaddr,
+                     op.isWrite);
 }
 
 void
-ComputeUnit::onOpDone(std::uint64_t seq)
+ComputeUnit::opDone(std::uint32_t wf_index, std::uint64_t seq)
 {
     GHPROF_SCOPE("cu", "op_done");
-    auto it = _inflight.find(seq);
-    if (it == _inflight.end()) {
-        // The op was discarded by flushPipeline(); the reply is stale.
-        return;
-    }
-    const std::size_t wf_index = it->second;
-    _inflight.erase(it);
-
+    if (wf_index >= _wfStates.size())
+        return; // stale: issued by an earlier, wider workgroup
     WfState &wf = _wfStates[wf_index];
-    assert(wf.inFlight);
+    if (!wf.inFlight || wf.seq != seq)
+        return; // stale: discarded by flushPipeline()
     wf.inFlight = false;
+    --_inflightOps;
     ++opsCompleted;
 
     const wl::MemOp &completed = _wg.wavefronts[wf_index].ops[wf.pc];
@@ -154,14 +150,14 @@ ComputeUnit::flushPipeline()
 
     // Discard every in-flight transaction: replies become stale and
     // the wavefronts replay the same pc after resume().
-    for (const auto &[seq, wf_index] : _inflight) {
-        WfState &wf = _wfStates[wf_index];
-        assert(wf.inFlight);
+    for (WfState &wf : _wfStates) {
+        if (!wf.inFlight)
+            continue;
         wf.inFlight = false;
         wf.pendingIssue = true;
         ++opsDiscarded;
     }
-    _inflight.clear();
+    _inflightOps = 0;
 }
 
 void

@@ -20,8 +20,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/sim/engine.hh"
@@ -39,6 +37,8 @@ struct CuConfig
     Tick issueLatency = 1;
 };
 
+class ComputeUnit;
+
 /**
  * The CU's window into the GPU memory system; implemented by Gpu.
  */
@@ -48,11 +48,13 @@ class CuMemoryInterface
     virtual ~CuMemoryInterface() = default;
 
     /**
-     * Issue one post-coalescing transaction. @p done fires when the
-     * data (or write ack) returns to the CU.
+     * Issue one post-coalescing transaction for wavefront @p wf of
+     * @p cu. When the data (or write ack) returns, the memory system
+     * calls cu.opDone(wf, seq).
      */
-    virtual void cuAccess(unsigned cu_id, Addr vaddr, bool is_write,
-                          sim::EventFn done) = 0;
+    virtual void cuAccess(ComputeUnit &cu, std::uint32_t wf,
+                          std::uint64_t seq, Addr vaddr,
+                          bool is_write) = 0;
 };
 
 /**
@@ -73,7 +75,7 @@ class ComputeUnit
     bool paused() const { return _paused; }
 
     /** Outstanding memory transactions right now. */
-    std::size_t inflightOps() const { return _inflight.size(); }
+    std::size_t inflightOps() const { return _inflightOps; }
 
     /**
      * Begin executing @p wg. Must be idle. @p on_done fires when every
@@ -96,6 +98,13 @@ class ComputeUnit
     /** Restart issue after a pause or flush. */
     void resume();
 
+    /**
+     * The op that wavefront @p wf issued as number @p seq completed.
+     * A reply for an op that flushPipeline() discarded, or that an
+     * earlier workgroup issued, is stale and dropped.
+     */
+    void opDone(std::uint32_t wf, std::uint64_t seq);
+
     /** @name Statistics @{ */
     std::uint64_t opsIssued = 0;
     std::uint64_t opsCompleted = 0;
@@ -111,6 +120,8 @@ class ComputeUnit
         bool finished = false;
         /** Issue was deferred because the CU was paused. */
         bool pendingIssue = false;
+        /** Issue number of the op in flight (valid while inFlight). */
+        std::uint64_t seq = 0;
     };
 
     sim::Engine &_engine;
@@ -127,13 +138,15 @@ class ComputeUnit
     unsigned _runningWavefronts = 0;
     std::size_t _finishedWavefronts = 0;
 
+    /**
+     * Issue numbers are unique over the CU's lifetime, so a reply can
+     * never match a later op, in this workgroup or the next.
+     */
     std::uint64_t _nextSeq = 0;
-    /** seq -> wavefront index, for staleness filtering after a flush. */
-    std::unordered_map<std::uint64_t, std::size_t> _inflight;
+    std::size_t _inflightOps = 0;
 
     void tryIssue(std::size_t wf_index);
     void issueOp(std::size_t wf_index);
-    void onOpDone(std::uint64_t seq);
     void finishWavefront(std::size_t wf_index);
 };
 

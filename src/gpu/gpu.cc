@@ -18,7 +18,8 @@ Gpu::Gpu(sim::Engine &engine, DeviceId id, const GpuConfig &config,
     : _engine(engine), _id(id), _config(config), _network(network),
       _iommu(iommu), _router(router), _l2(config.l2Cache),
       _l2Tlb(config.l2Tlb), _dram(config.dram),
-      _rdma(engine, network, id, _l2, _dram, config.lineBytes)
+      _rdma(engine, network, router, id, _l2, _dram, config.lineBytes,
+            this)
 {
     assert(id != cpuDeviceId && "device 0 is the CPU");
 
@@ -116,9 +117,24 @@ Gpu::idle() const
 // Memory access path
 // ---------------------------------------------------------------------
 
-void
-Gpu::cuAccess(unsigned cu_id, Addr vaddr, bool is_write, sim::EventFn done)
+MemAccess &
+Gpu::acquireAccess()
 {
+    if (_freeAccesses.empty()) {
+        _accesses.push_back(std::make_unique<MemAccess>());
+        return *_accesses.back();
+    }
+    MemAccess *r = _freeAccesses.back();
+    _freeAccesses.pop_back();
+    *r = MemAccess{};
+    return *r;
+}
+
+void
+Gpu::cuAccess(ComputeUnit &cu, std::uint32_t wf, std::uint64_t seq,
+              Addr vaddr, bool is_write)
+{
+    const unsigned cu_id = cu.cuId();
     const PageId page = pageOf(vaddr);
 
     // DPC hardware: the SE access counter intercepts the request on
@@ -127,130 +143,147 @@ Gpu::cuAccess(unsigned cu_id, Addr vaddr, bool is_write, sim::EventFn done)
     if (_probe)
         _probe(_engine.now(), _id, page);
 
-    // One heap box carries the access (callback included) through the
-    // whole chain; each hop captures {this, pointer}, which stays
-    // inside the event's inline storage.
-    auto req = std::make_unique<CuAccessReq>(
-        CuAccessReq{cu_id, vaddr, page, is_write, std::move(done)});
+    MemAccess &r = acquireAccess();
+    r.client = this;
+    r.requester = _id;
+    r.page = page;
+    r.isWrite = is_write;
+    r.vaddr = vaddr;
+    r.cuId = cu_id;
+    r.wf = wf;
+    r.seq = seq;
 
-    // L1 TLB.
     _engine.schedule(_l1Tlbs[cu_id].latency(),
-                     [this, r = std::move(req)]() mutable {
-        GHPROF_SCOPE("gpu", "l1_tlb");
-        if (auto loc = _l1Tlbs[r->cuId].lookup(r->page)) {
-            haveTranslation(*loc, std::move(r));
-            return;
-        }
-        // L2 TLB.
-        _engine.schedule(_l2Tlb.latency(),
-                         [this, r = std::move(r)]() mutable {
-            GHPROF_SCOPE("gpu", "l2_tlb");
-            if (auto loc = _l2Tlb.lookup(r->page)) {
-                _l1Tlbs[r->cuId].fill(r->page, *loc);
-                haveTranslation(*loc, std::move(r));
-                return;
-            }
-            // IOMMU over the fabric. The miss time here is the span
-            // origin if this access ends up faulting.
-            ++xlatRequestsSent;
-            const Tick miss_at = _engine.now();
-            _network.send(_id, cpuDeviceId, ic::MessageSizes::xlatRequest,
-                          [this, miss_at, r = std::move(r)]() mutable {
-                GHPROF_SCOPE("gpu", "xlat_request");
-                const PageId page = r->page;
-                const bool is_write = r->isWrite;
-                _iommu.request(_id, page, is_write,
-                               [this, r = std::move(r)]
-                               (xlat::XlatReply reply) mutable {
-                    // Remote translations are never cached in the GPU
-                    // TLBs (paper SS II-B). A cacheable reply is also
-                    // fenced against migration: if the page went into
-                    // migration while the reply crossed the fabric,
-                    // the shootdown already ran and filling now would
-                    // plant a stale entry nothing will invalidate.
-                    if (reply.cacheable &&
-                        !_iommu.pageMigrating(r->page)) {
-                        _l1Tlbs[r->cuId].fill(r->page, reply.location);
-                        _l2Tlb.fill(r->page, reply.location);
-                    }
-                    haveTranslation(reply.location, std::move(r));
-                },
-                miss_at);
-            });
-        });
+                     [this, p = &r] { l1TlbLookup(*p); });
+}
+
+void
+Gpu::l1TlbLookup(MemAccess &r)
+{
+    GHPROF_SCOPE("gpu", "l1_tlb");
+    if (auto loc = _l1Tlbs[r.cuId].lookup(r.page)) {
+        haveTranslation(*loc, r);
+        return;
+    }
+    _engine.schedule(_l2Tlb.latency(), [this, p = &r] { l2TlbLookup(*p); });
+}
+
+void
+Gpu::l2TlbLookup(MemAccess &r)
+{
+    GHPROF_SCOPE("gpu", "l2_tlb");
+    if (auto loc = _l2Tlb.lookup(r.page)) {
+        _l1Tlbs[r.cuId].fill(r.page, *loc);
+        haveTranslation(*loc, r);
+        return;
+    }
+    // IOMMU over the fabric. The miss time here is the span origin if
+    // this access ends up faulting.
+    ++xlatRequestsSent;
+    r.origin = _engine.now();
+    _network.send(_id, cpuDeviceId, ic::MessageSizes::xlatRequest,
+                  [this, p = &r] {
+        GHPROF_SCOPE("gpu", "xlat_request");
+        _iommu.request(*p);
     });
 }
 
 void
-Gpu::haveTranslation(DeviceId location, CuAccessPtr r)
+Gpu::onXlatReply(xlat::XlatRequest &req)
 {
+    GHPROF_SCOPE("gpu", "xlat_reply");
+    // Every request this GPU sends is the translation half of one of
+    // its access records.
+    MemAccess &r = static_cast<MemAccess &>(req);
+    // Remote translations are never cached in the GPU TLBs (paper
+    // SS II-B). A cacheable reply is also fenced against migration:
+    // if the page went into migration while the reply crossed the
+    // fabric, the shootdown already ran and filling now would plant a
+    // stale entry nothing will invalidate.
+    if (r.reply.cacheable && !_iommu.pageMigrating(r.page)) {
+        _l1Tlbs[r.cuId].fill(r.page, r.reply.location);
+        _l2Tlb.fill(r.page, r.reply.location);
+    }
+    haveTranslation(r.reply.location, r);
+}
+
+void
+Gpu::haveTranslation(DeviceId location, MemAccess &r)
+{
+    r.owner = location;
     if (location == _id) {
         ++localAccesses;
-        enterDataPhase(r->page);
-        localAccess(std::move(r));
+        enterDataPhase(r.page);
+        _engine.schedule(_l1s[r.cuId].latency(),
+                         [this, p = &r] { l1CacheAccess(*p); });
     } else {
         ++remoteAccesses;
         obs::TimeSeries::countActive(
             obs::TimeSeries::Series::DcaAccesses);
-        _router.remoteAccess(_id, location, r->vaddr, r->isWrite,
-                             std::move(r->done));
+        _router.remoteAccess(r);
     }
 }
 
 void
-Gpu::finishLocal(CuAccessPtr r)
+Gpu::l1CacheAccess(MemAccess &r)
 {
-    leaveDataPhase(r->page);
-    r->done();
+    GHPROF_SCOPE("gpu", "l1_cache");
+    const auto r1 = _l1s[r.cuId].access(r.vaddr, r.isWrite);
+    if (r1.writeback) {
+        // Dirty L1 victim drains into the L2 asynchronously.
+        const Addr wb = r1.writebackAddr;
+        _engine.schedule(_config.xbarLatency, [this, wb] {
+            GHPROF_SCOPE("gpu", "l2_writeback");
+            const auto r = _l2.access(wb, true);
+            if (r.writeback)
+                _dram.access(_engine.now(), r.writebackAddr,
+                             _config.lineBytes, true);
+        });
+    }
+    if (r1.hit) {
+        finishLocal(r);
+        return;
+    }
+    // L1 miss: cross the XBar to the shared L2.
+    _engine.schedule(_config.xbarLatency + _l2.latency(),
+                     [this, p = &r] { l2CacheAccess(*p); });
 }
 
 void
-Gpu::localAccess(CuAccessPtr req)
+Gpu::l2CacheAccess(MemAccess &r)
 {
-    mem::Cache &l1 = _l1s[req->cuId];
-    _engine.schedule(l1.latency(), [this, &l1, r = std::move(req)]() mutable {
-        GHPROF_SCOPE("gpu", "l1_cache");
-        const auto r1 = l1.access(r->vaddr, r->isWrite);
-        if (r1.writeback) {
-            // Dirty L1 victim drains into the L2 asynchronously.
-            const Addr wb = r1.writebackAddr;
-            _engine.schedule(_config.xbarLatency, [this, wb] {
-                GHPROF_SCOPE("gpu", "l2_writeback");
-                const auto r = _l2.access(wb, true);
-                if (r.writeback)
-                    _dram.access(_engine.now(), r.writebackAddr,
-                                 _config.lineBytes, true);
-            });
-        }
-        if (r1.hit) {
-            finishLocal(std::move(r));
-            return;
-        }
+    GHPROF_SCOPE("gpu", "l2_cache");
+    const auto r2 = _l2.access(r.vaddr, r.isWrite);
+    if (r2.writeback)
+        _dram.access(_engine.now(), r2.writebackAddr, _config.lineBytes,
+                     true);
+    if (r2.hit) {
+        _engine.schedule(_config.xbarLatency,
+                         [this, p = &r] { finishLocal(*p); });
+        return;
+    }
+    // L2 miss: local HBM (write-allocate reads the line).
+    const Tick ready = _dram.access(_engine.now(), r.vaddr,
+                                    _config.lineBytes, false);
+    _engine.scheduleAt(ready + _config.xbarLatency,
+                       [this, p = &r] { finishLocal(*p); });
+}
 
-        // L1 miss: cross the XBar to the shared L2.
-        _engine.schedule(_config.xbarLatency + _l2.latency(),
-                         [this, r = std::move(r)]() mutable {
-            GHPROF_SCOPE("gpu", "l2_cache");
-            const auto r2 = _l2.access(r->vaddr, r->isWrite);
-            if (r2.writeback)
-                _dram.access(_engine.now(), r2.writebackAddr,
-                             _config.lineBytes, true);
-            if (r2.hit) {
-                _engine.schedule(_config.xbarLatency,
-                                 [this, r = std::move(r)]() mutable {
-                    finishLocal(std::move(r));
-                });
-                return;
-            }
-            // L2 miss: local HBM (write-allocate reads the line).
-            const Tick ready = _dram.access(_engine.now(), r->vaddr,
-                                            _config.lineBytes, false);
-            _engine.scheduleAt(ready + _config.xbarLatency,
-                               [this, r = std::move(r)]() mutable {
-                finishLocal(std::move(r));
-            });
-        });
-    });
+void
+Gpu::finishLocal(MemAccess &r)
+{
+    leaveDataPhase(r.page);
+    accessDone(r);
+}
+
+void
+Gpu::accessDone(MemAccess &r)
+{
+    ComputeUnit &cu = *_cus[r.cuId];
+    const std::uint32_t wf = r.wf;
+    const std::uint64_t seq = r.seq;
+    _freeAccesses.push_back(&r);
+    cu.opDone(wf, seq);
 }
 
 // ---------------------------------------------------------------------
@@ -268,8 +301,7 @@ Gpu::leaveDataPhase(PageId page)
 {
     auto it = _dataPhase.find(page);
     assert(it != _dataPhase.end() && it->second > 0);
-    if (--it->second == 0)
-        _dataPhase.erase(it);
+    --it->second;
     maybeFinishDrain();
 }
 
@@ -279,7 +311,8 @@ Gpu::drainSatisfied() const
     if (!_drainSet)
         return true;
     for (const PageId page : *_drainSet) {
-        if (_dataPhase.count(page))
+        auto it = _dataPhase.find(page);
+        if (it != _dataPhase.end() && it->second > 0)
             return false;
     }
     return true;

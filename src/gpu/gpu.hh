@@ -67,7 +67,7 @@ struct GpuConfig
  * (L1 TLB -> L2 TLB -> IOMMU over the fabric) and then either a local
  * cache-hierarchy access or a remote DCA access via the router.
  */
-class Gpu : public CuMemoryInterface
+class Gpu : public CuMemoryInterface, public xlat::XlatClient
 {
   public:
     /** Observer invoked on every post-coalescing access (benches). */
@@ -106,9 +106,19 @@ class Gpu : public CuMemoryInterface
     /** @} */
 
     /** @name CU memory interface @{ */
-    void cuAccess(unsigned cu_id, Addr vaddr, bool is_write,
-                  sim::EventFn done) override;
+    void cuAccess(ComputeUnit &cu, std::uint32_t wf, std::uint64_t seq,
+                  Addr vaddr, bool is_write) override;
     /** @} */
+
+    /** The IOMMU's answer to one of this GPU's L2 TLB misses. */
+    void onXlatReply(xlat::XlatRequest &req) override;
+
+    /**
+     * Access @p r (issued here) is complete: report it to its CU and
+     * recycle the record. The router calls this when a DCA reply
+     * lands; local accesses end here too.
+     */
+    void accessDone(MemAccess &r);
 
     /** @name Migration machinery (driver/executor facing) @{ */
 
@@ -209,8 +219,19 @@ class Gpu : public CuMemoryInterface
     std::deque<wl::Workgroup> _wgQueue;
     sim::EventFn _wgDoneCb;
 
-    /** Pages with in-flight post-translation accesses, with counts. */
+    /**
+     * In-flight post-translation accesses per page. Entries stay at
+     * zero instead of being erased, so a page's next access allocates
+     * nothing.
+     */
     std::unordered_map<PageId, std::uint32_t> _dataPhase;
+
+    /**
+     * Every access record made so far. They outlive any event that
+     * points at one; idle records wait in _freeAccesses.
+     */
+    std::vector<std::unique_ptr<MemAccess>> _accesses;
+    std::vector<MemAccess *> _freeAccesses;
 
     /** Active ACUD drain, if any. */
     std::shared_ptr<const std::vector<PageId>> _drainSet;
@@ -225,26 +246,18 @@ class Gpu : public CuMemoryInterface
     void tryDispatchWorkgroups();
     void onWorkgroupDone(unsigned cu_idx);
 
-    /**
-     * One CU access in flight through the translation + data path.
-     * The whole chain (TLB hops, IOMMU round trip, cache hops) shares
-     * this single heap box; every hop's lambda captures just
-     * {this, pointer}, which fits a sim::InlineEvent inline.
-     */
-    struct CuAccessReq
-    {
-        unsigned cuId;
-        Addr vaddr;
-        PageId page;
-        bool isWrite;
-        sim::EventFn done;
-    };
-    using CuAccessPtr = std::unique_ptr<CuAccessReq>;
+    MemAccess &acquireAccess();
 
-    void haveTranslation(DeviceId location, CuAccessPtr r);
-    void localAccess(CuAccessPtr r);
-    /** End of the local data phase: leave the page, run done. */
-    void finishLocal(CuAccessPtr r);
+    /** @name Access path hops (each runs as its own event) @{ */
+    void l1TlbLookup(MemAccess &r);
+    void l2TlbLookup(MemAccess &r);
+    void haveTranslation(DeviceId location, MemAccess &r);
+    void l1CacheAccess(MemAccess &r);
+    void l2CacheAccess(MemAccess &r);
+    /** End of the local data phase: leave the page, complete. */
+    void finishLocal(MemAccess &r);
+    /** @} */
+
     bool drainSatisfied() const;
     void maybeFinishDrain();
 };

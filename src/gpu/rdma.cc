@@ -1,83 +1,80 @@
 #include "src/gpu/rdma.hh"
 
 #include <string>
-#include <utility>
 
+#include "src/gpu/gpu.hh"
 #include "src/obs/hostprof.hh"
 #include "src/obs/trace.hh"
 
 namespace griffin::gpu {
 
-Rdma::Rdma(sim::Engine &engine, ic::Network &network, DeviceId self,
-           mem::Cache &l2, mem::Dram &dram, unsigned line_bytes)
-    : _engine(engine), _network(network), _self(self), _l2(l2),
-      _dram(dram), _lineBytes(line_bytes)
+Rdma::Rdma(sim::Engine &engine, ic::Network &network, RemoteRouter &router,
+           DeviceId self, mem::Cache &l2, mem::Dram &dram,
+           unsigned line_bytes, Gpu *gpu)
+    : _engine(engine), _network(network), _router(router), _self(self),
+      _l2(l2), _dram(dram), _lineBytes(line_bytes), _gpu(gpu)
 {
 }
 
 void
-Rdma::serve(Addr addr, bool is_write, DeviceId reply_to,
-            sim::EventFn done, sim::EventFn enter_data_phase,
-            sim::EventFn leave_data_phase)
+Rdma::serve(MemAccess &r)
 {
-    if (is_write)
+    if (r.isWrite)
         ++writesServed;
     else
         ++readsServed;
 
-    if (enter_data_phase)
-        enter_data_phase();
-
-    const std::uint64_t reply_bytes = is_write
-        ? ic::MessageSizes::dcaWriteAck
-        : ic::MessageSizes::dcaReadReply;
-
-    // The two continuations (requester's done + the data-phase exit)
-    // share one box; the service hops below capture only the wrapper.
-    sim::EventFn finish =
-        sim::boxed([this, reply_to, reply_bytes, done = std::move(done),
-                    leave = std::move(leave_data_phase)]() mutable {
-            GHPROF_SCOPE("rdma", "dca_finish");
-            if (leave)
-                leave();
-            _network.send(_self, reply_to, reply_bytes, std::move(done));
-        });
-
-    // Per-line DCA service spans. CatDca is off by default — remote
-    // traffic is per-cache-line and would dominate the trace.
-    if (obs::TraceSession::activeFor(obs::CatDca)) {
-        const Tick begin = _engine.now();
-        finish = sim::boxed([this, addr, is_write, reply_to, begin,
-                             finish = std::move(finish)]() mutable {
-            if (auto *tr = obs::TraceSession::activeFor(obs::CatDca)) {
-                tr->complete(obs::CatDca, "rdma" + std::to_string(_self),
-                             is_write ? "dca_write" : "dca_read", begin,
-                             _engine.now(),
-                             obs::TraceArgs()
-                                 .add("addr", addr)
-                                 .add("from", reply_to));
-            }
-            finish();
-        });
-    }
+    if (_gpu)
+        _gpu->enterDataPhase(r.page);
 
     // L2 lookup; fall through to DRAM on a miss. Dirty victims write
     // back asynchronously (no one waits on them).
-    const auto result = _l2.access(addr, is_write);
+    const auto result = _l2.access(r.vaddr, r.isWrite);
     if (result.writeback)
         _dram.access(_engine.now() + _l2.latency(), result.writebackAddr,
                      _lineBytes, true);
 
+    Tick ready;
     if (result.hit) {
         ++l2HitsServed;
-        _engine.schedule(_l2.latency(), std::move(finish));
+        ready = _engine.now() + _l2.latency();
     } else {
         // Write-allocate: a missing line is fetched from DRAM first,
         // so the DRAM transaction is a read either way.
-        const Tick ready = _dram.access(_engine.now() + _l2.latency(),
-                                        addr, _lineBytes, false);
-        _engine.scheduleAt(ready, std::move(finish));
+        ready = _dram.access(_engine.now() + _l2.latency(), r.vaddr,
+                             _lineBytes, false);
     }
+
+    // Per-line DCA service spans. CatDca is off by default — remote
+    // traffic is per-cache-line and would dominate the trace.
+    if (obs::TraceSession::activeFor(obs::CatDca)) {
+        _engine.scheduleAt(ready, [this, p = &r, begin = _engine.now()] {
+            if (auto *tr = obs::TraceSession::activeFor(obs::CatDca)) {
+                tr->complete(obs::CatDca, "rdma" + std::to_string(_self),
+                             p->isWrite ? "dca_write" : "dca_read", begin,
+                             _engine.now(),
+                             obs::TraceArgs()
+                                 .add("addr", p->vaddr)
+                                 .add("from", p->requester));
+            }
+            finish(*p);
+        });
+        return;
+    }
+    _engine.scheduleAt(ready, [this, p = &r] { finish(*p); });
+}
+
+void
+Rdma::finish(MemAccess &r)
+{
+    GHPROF_SCOPE("rdma", "dca_finish");
+    if (_gpu)
+        _gpu->leaveDataPhase(r.page);
+    const std::uint64_t reply_bytes = r.isWrite
+        ? ic::MessageSizes::dcaWriteAck
+        : ic::MessageSizes::dcaReadReply;
+    _network.send(_self, r.requester, reply_bytes,
+                  [this, p = &r] { _router.remoteReply(*p); });
 }
 
 } // namespace griffin::gpu

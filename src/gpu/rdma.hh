@@ -11,8 +11,8 @@
 #define GRIFFIN_GPU_RDMA_HH
 
 #include <cstdint>
-#include <functional>
 
+#include "src/gpu/remote.hh"
 #include "src/interconnect/switch.hh"
 #include "src/mem/cache.hh"
 #include "src/mem/dram.hh"
@@ -20,6 +20,8 @@
 #include "src/sim/types.hh"
 
 namespace griffin::gpu {
+
+class Gpu;
 
 /**
  * Serves incoming DCA traffic against a local L2 + DRAM pair.
@@ -30,26 +32,27 @@ class Rdma
     /**
      * @param engine   event engine.
      * @param network  the inter-device fabric (used for replies).
+     * @param router   receives each reply at the requester.
      * @param self     the device this engine belongs to.
      * @param l2       the device's shared L2 cache.
      * @param dram     the device's local memory.
      * @param line_bytes transfer granularity.
+     * @param gpu      the GPU whose data phase a served access
+     *                 occupies (ACUD drain tracking); nullptr for
+     *                 the CPU.
      */
-    Rdma(sim::Engine &engine, ic::Network &network, DeviceId self,
-         mem::Cache &l2, mem::Dram &dram, unsigned line_bytes = 64);
+    Rdma(sim::Engine &engine, ic::Network &network, RemoteRouter &router,
+         DeviceId self, mem::Cache &l2, mem::Dram &dram,
+         unsigned line_bytes = 64, Gpu *gpu = nullptr);
 
     /**
-     * Serve one remote access that has already arrived here.
-     * @p reply_to is the requesting device; @p done runs there after
-     * the reply message lands.
-     *
-     * The caller may pass hooks that run when the access enters and
-     * leaves the local data phase (used by ACUD drain tracking).
+     * Serve remote access @p r, which has already arrived here: look
+     * the line up in the local L2 (DRAM on a miss), then reply to
+     * r.requester, where the router's remoteReply(r) runs. On a GPU
+     * the access is in that GPU's data phase from arrival until the
+     * reply leaves.
      */
-    void serve(Addr addr, bool is_write, DeviceId reply_to,
-               sim::EventFn done,
-               sim::EventFn enter_data_phase = nullptr,
-               sim::EventFn leave_data_phase = nullptr);
+    void serve(MemAccess &r);
 
     /** @name Statistics @{ */
     std::uint64_t readsServed = 0;
@@ -60,10 +63,15 @@ class Rdma
   private:
     sim::Engine &_engine;
     ic::Network &_network;
+    RemoteRouter &_router;
     DeviceId _self;
     mem::Cache &_l2;
     mem::Dram &_dram;
     unsigned _lineBytes;
+    Gpu *_gpu;
+
+    /** End of service: leave the data phase and send the reply. */
+    void finish(MemAccess &r);
 };
 
 } // namespace griffin::gpu

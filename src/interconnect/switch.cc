@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "src/obs/hostprof.hh"
 #include "src/obs/trace.hh"
 #include "src/sys/chaos.hh"
 
@@ -100,13 +99,9 @@ Network::send(DeviceId src, DeviceId dst, std::uint64_t bytes,
                      "link" + std::to_string(dst) + ".down", "xfer",
                      down_start, _links[dst].nextFree(dirDown), args);
     }
-    // The receiver's completion callback runs as this event; the scope
-    // attributes it (and any un-scoped work it does) to the network
-    // unless the callback opens its own, more specific scope.
-    _engine.scheduleAt(at_dst, sim::boxed([fn = std::move(deliver)] {
-        GHPROF_SCOPE("network", "deliver");
-        fn();
-    }));
+    // The receiver's callback runs as the delivery event itself; each
+    // receiver opens its own host-profiler scope.
+    _engine.scheduleAt(at_dst, std::move(deliver));
 }
 
 } // namespace griffin::ic

@@ -61,7 +61,9 @@ class Network
 
     /**
      * Send @p bytes from @p src to @p dst; @p deliver runs at the
-     * destination when the last byte arrives.
+     * destination when the last byte arrives, scheduled as is (no
+     * wrapper, no allocation). A receiver opens its own host-profiler
+     * scope (DESIGN.md §13.1).
      */
     void send(DeviceId src, DeviceId dst, std::uint64_t bytes,
               sim::EventFn deliver);

@@ -18,13 +18,14 @@
  *    not a heuristic: growing a hot lambda past the line is an
  *    explicit, reviewable decision at the call site.
  *
- * A capture that is genuinely large (or that captures another
- * InlineFn — a continuation chain can never nest inside its own
- * fixed-size buffer) is boxed once with sim::boxed(), which moves it
- * behind a unique_ptr and captures the 8-byte pointer instead. That
- * costs one allocation at the *capturing* site — exactly what
- * std::function silently did — while the dominant schedule shapes
- * ([this] continuations, scalar captures) stay allocation-free.
+ * Hot multi-hop chains (a CU memory access, a fabric message) do not
+ * carry continuations at all: they carry a pooled per-request record
+ * by pointer, so every hop captures {component, record} and nothing
+ * allocates (DESIGN.md §14.2). A capture that is genuinely large, or
+ * that captures another InlineFn (which can never nest inside its
+ * own fixed-size buffer), is boxed with sim::boxed(): it moves behind
+ * a unique_ptr and costs one allocation at the capturing site. That
+ * is kept to cold paths and telemetry-on wrappers.
  */
 
 #ifndef GRIFFIN_SIM_INLINE_FN_HH
@@ -167,11 +168,10 @@ class InlineFn<R(Args...)>
 
 /**
  * Move @p fn behind a unique_ptr and return an 8-byte callable that
- * forwards to it. Use at call sites whose capture cannot fit an
+ * forwards to it. Use at cold call sites whose capture cannot fit an
  * InlineFn inline — typically a lambda that captures a continuation
- * (itself an InlineFn) plus context. For a continuation *chain*,
- * prefer boxing the shared per-request state once and letting each
- * hop capture the pointer, so the whole chain costs one allocation.
+ * (itself an InlineFn) plus context. A per-access chain should carry
+ * a pooled record by pointer instead, which allocates nothing.
  */
 template <typename F>
 auto

@@ -45,7 +45,7 @@ MultiGpuSystem::MultiGpuSystem(const SystemConfig &config)
     _iommu = std::make_unique<xlat::Iommu>(_engine, *_network,
                                            _pageTable, config.iommu);
     _iommu->setFaultInjector(_injector.get());
-    _cpuRdma = std::make_unique<gpu::Rdma>(_engine, *_network,
+    _cpuRdma = std::make_unique<gpu::Rdma>(_engine, *_network, *this,
                                            cpuDeviceId, _cpuL2, _cpuDram,
                                            config.gpu.lineBytes);
 
@@ -184,44 +184,40 @@ MultiGpuSystem::~MultiGpuSystem()
 }
 
 void
-MultiGpuSystem::remoteAccess(DeviceId requester, DeviceId owner,
-                             Addr addr, bool is_write, sim::EventFn done)
+MultiGpuSystem::remoteAccess(gpu::MemAccess &r)
 {
-    assert(owner != requester);
-    const std::uint64_t req_bytes = is_write
+    assert(r.owner != r.requester);
+    const std::uint64_t req_bytes = r.isWrite
         ? ic::MessageSizes::dcaWriteRequest
         : ic::MessageSizes::dcaReadRequest;
+    r.dcaStart = _engine.now();
+    _network->send(r.requester, r.owner, req_bytes,
+                   [this, p = &r] { serveRemote(*p); });
+}
 
-    if (obs::Metrics::active()) {
-        const Tick begin = _engine.now();
-        done = sim::boxed([this, begin, done = std::move(done)] {
-            if (auto *m = obs::Metrics::active())
-                m->latency.remoteAccessLatency.sample(
-                    double(_engine.now() - begin));
-            done();
-        });
+void
+MultiGpuSystem::serveRemote(gpu::MemAccess &r)
+{
+    GHPROF_SCOPE("rdma", "dca_serve");
+    if (r.owner == cpuDeviceId) {
+        if (_griffinPolicy)
+            _griffinPolicy->noteCpuDcaAccess(r.page);
+        _cpuRdma->serve(r);
+        return;
     }
+    // A GPU owner's RDMA engine also feeds its ACUD drain bookkeeping:
+    // the access occupies the page's data phase while it is in the
+    // owner's memory hierarchy.
+    _gpus[r.owner - 1]->rdma().serve(r);
+}
 
-    _network->send(requester, owner, req_bytes,
-                   sim::boxed([this, requester, owner, addr, is_write,
-                               done = std::move(done)]() mutable {
-        if (owner == cpuDeviceId) {
-            if (_griffinPolicy) {
-                _griffinPolicy->noteCpuDcaAccess(
-                    addr >> _config.gpu.pageShift);
-            }
-            _cpuRdma->serve(addr, is_write, requester, std::move(done));
-            return;
-        }
-        // A GPU owner also feeds the ACUD drain bookkeeping: the
-        // access occupies the page's data phase while it is in the
-        // owner's memory hierarchy.
-        gpu::Gpu *g = _gpus[owner - 1].get();
-        const PageId page = addr >> _config.gpu.pageShift;
-        g->rdma().serve(addr, is_write, requester, std::move(done),
-                        [g, page] { g->enterDataPhase(page); },
-                        [g, page] { g->leaveDataPhase(page); });
-    }));
+void
+MultiGpuSystem::remoteReply(gpu::MemAccess &r)
+{
+    if (auto *m = obs::Metrics::active())
+        m->latency.remoteAccessLatency.sample(
+            double(_engine.now() - r.dcaStart));
+    _gpus[r.requester - 1]->accessDone(r);
 }
 
 void

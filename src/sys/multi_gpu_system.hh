@@ -118,9 +118,10 @@ class MultiGpuSystem : public gpu::RemoteRouter
      */
     RunResult run(wl::Workload &workload);
 
-    /** gpu::RemoteRouter */
-    void remoteAccess(DeviceId requester, DeviceId owner, Addr addr,
-                      bool is_write, sim::EventFn done) override;
+    /** @name gpu::RemoteRouter @{ */
+    void remoteAccess(gpu::MemAccess &r) override;
+    void remoteReply(gpu::MemAccess &r) override;
+    /** @} */
 
     /** @name Component access (probes, benches, tests) @{ */
     sim::Engine &engine() { return _engine; }
@@ -206,6 +207,8 @@ class MultiGpuSystem : public gpu::RemoteRouter
     bool _ran = false;
 
     RunResult collectResults();
+    /** A DCA request has landed at its owner: hand it to the RDMA. */
+    void serveRemote(gpu::MemAccess &r);
 };
 
 } // namespace griffin::sys

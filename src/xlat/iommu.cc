@@ -28,61 +28,92 @@ Iommu::Iommu(sim::Engine &engine, ic::Network &network, mem::PageTable &pt,
 }
 
 void
-Iommu::request(DeviceId requester, PageId page, bool is_write, XlatDone done,
-               Tick origin)
+Iommu::RequestList::push(XlatRequest &req)
+{
+    req.next = nullptr;
+    if (tail)
+        tail->next = &req;
+    else
+        head = &req;
+    tail = &req;
+}
+
+XlatRequest *
+Iommu::RequestList::take()
+{
+    XlatRequest *first = head;
+    head = tail = nullptr;
+    return first;
+}
+
+void
+Iommu::request(XlatRequest &req)
 {
     assert(_policy && _faultHandler &&
            "policy and fault handler must be installed first");
+    assert(req.client && "a request needs a client to reply to");
     ++requests;
 
-    if (origin == maxTick)
-        origin = _engine.now();
-    // The request (callback included) rides through the whole pipeline
-    // in one heap box; every hop below captures just the pointer.
-    auto req = std::make_unique<Request>(
-        Request{requester, page, is_write, std::move(done), origin});
+    if (req.origin == maxTick)
+        req.origin = _engine.now();
+    req.walkStart = 0;
+    req.walkEnd = 0;
+    req.fid = invalidFaultId;
 
     // IOTLB probe first; a hit skips the walk entirely.
-    _engine.schedule(_iotlb.latency(), [this, r = std::move(req)] {
-        GHPROF_SCOPE("iommu", "iotlb");
-        // A page under migration must park even on what would be an
-        // IOTLB hit; blockPage() purges the entry, so a lookup hit
-        // implies the page is stable.
-        if (auto loc = _iotlb.lookup(r->page)) {
-            ++iotlbHits;
-            reply(*r, XlatReply{*loc, *loc == r->requester});
-            return;
-        }
-        // Coalesce with a queued or in-flight walk of the same page:
-        // the walkers resolve a page once, however many requesters
-        // pile up behind it (this matters after a migration, when
-        // every wavefront of every GPU re-faults the page at once).
-        auto [it, first] = _walkWaiters.try_emplace(r->page);
-        it->second.push_back(std::move(*r));
-        if (first) {
-            _walkQueue.push_back(it->first);
-            startWalks();
-        } else {
-            ++walksCoalesced;
-        }
-    });
+    _engine.schedule(_iotlb.latency(), [this, r = &req] { lookup(*r); });
+}
+
+void
+Iommu::lookup(XlatRequest &req)
+{
+    GHPROF_SCOPE("iommu", "iotlb");
+    // A page under migration must park even on what would be an
+    // IOTLB hit; blockPage() purges the entry, so a lookup hit
+    // implies the page is stable.
+    if (auto loc = _iotlb.lookup(req.page)) {
+        ++iotlbHits;
+        reply(req, XlatReply{*loc, *loc == req.requester});
+        return;
+    }
+    // Coalesce with a queued or in-flight walk of the same page: the
+    // walkers resolve a page once, however many requesters pile up
+    // behind it (this matters after a migration, when every wavefront
+    // of every GPU re-faults the page at once).
+    RequestList &waiters = _walkWaiters[req.page];
+    const bool first = waiters.empty();
+    waiters.push(req);
+    if (first) {
+        _walkQueue.push_back(req.page);
+        startWalks();
+    } else {
+        ++walksCoalesced;
+    }
 }
 
 void
 Iommu::startWalks()
 {
-    while (_busyWalkers < _config.numWalkers && !_walkQueue.empty()) {
-        const PageId page = _walkQueue.front();
-        _walkQueue.pop_front();
+    while (_busyWalkers < _config.numWalkers &&
+           _walkHead < _walkQueue.size()) {
+        const PageId page = _walkQueue[_walkHead++];
+        if (2 * _walkHead >= _walkQueue.size()) {
+            // Drop the consumed prefix: each element moves at most
+            // once per halving, and a drained queue keeps its storage.
+            _walkQueue.erase(_walkQueue.begin(),
+                             _walkQueue.begin() +
+                                 static_cast<std::ptrdiff_t>(_walkHead));
+            _walkHead = 0;
+        }
         ++_busyWalkers;
         ++walks;
         // Waiters present now left the walk queue; late coalescers
         // keep walkStart = 0, which the span sink clamps to a
         // zero-length queue stage.
         auto it = _walkWaiters.find(page);
-        assert(it != _walkWaiters.end());
-        for (Request &req : it->second)
-            req.walkStart = _engine.now();
+        assert(it != _walkWaiters.end() && !it->second.empty());
+        for (XlatRequest *r = it->second.head; r; r = r->next)
+            r->walkStart = _engine.now();
         Tick latency = _config.walkLatency;
         if (_injector && _injector->stallWalker()) {
             // Injected walker stall: the walk simply takes longer;
@@ -115,16 +146,16 @@ Iommu::finishWalk(PageId page)
 
     auto it = _walkWaiters.find(page);
     assert(it != _walkWaiters.end());
-    std::vector<Request> waiters = std::move(it->second);
-    _walkWaiters.erase(it);
-    for (auto &req : waiters) {
-        req.walkEnd = _engine.now();
-        resolve(std::move(req));
+    // Read each link before resolve() reuses it for parking.
+    for (XlatRequest *r = it->second.take(), *next; r; r = next) {
+        next = r->next;
+        r->walkEnd = _engine.now();
+        resolve(*r);
     }
 }
 
 void
-Iommu::resolve(Request req)
+Iommu::resolve(XlatRequest &req)
 {
     mem::PageInfo &pi = _pageTable.info(req.page);
 
@@ -137,7 +168,8 @@ Iommu::resolve(Request req)
                             .add("gpu", req.requester)
                             .add("page", req.page));
         }
-        _parked[req.page].push_back(std::move(req));
+        _parked[req.page].push(req);
+        ++_parkedNow;
         return;
     }
 
@@ -169,7 +201,8 @@ Iommu::resolve(Request req)
                 fs->mark(fid, obs::Stage::Policy, _engine.now());
             }
             req.fid = fid;
-            _parked[page].push_back(std::move(req));
+            _parked[page].push(req);
+            ++_parkedNow;
             GLOG(Trace, "iommu: fault page " << page << " -> gpu "
                                              << requester);
             if (auto *tr =
@@ -209,34 +242,29 @@ Iommu::resolve(Request req)
 }
 
 void
-Iommu::reply(Request &req, XlatReply rep)
+Iommu::reply(XlatRequest &req, XlatReply rep)
 {
-    auto done = std::move(req.done);
-    const FaultId fid = req.fid;
-    if (fid == invalidFaultId) {
+    req.reply = rep;
+    if (req.fid == invalidFaultId) {
         _network.send(cpuDeviceId, req.requester, ic::MessageSizes::xlatReply,
-                      sim::boxed([done = std::move(done), rep] {
-                          done(rep);
-                      }));
+                      [r = &req] { r->client->onXlatReply(*r); });
         return;
     }
     // This reply retires a fault: close the span when it lands at the
     // requester, where the stalled wavefront actually resumes.
-    const DeviceId requester = req.requester;
-    _network.send(
-        cpuDeviceId, requester, ic::MessageSizes::xlatReply,
-        sim::boxed([this, done = std::move(done), rep, fid, requester] {
-            const Tick now = _engine.now();
-            obs::FaultSpans::completeActive(fid, now);
-            if (auto *tr = obs::TraceSession::activeFor(obs::CatFault)) {
-                const std::string track = "gpu" + std::to_string(requester);
-                tr->instant(obs::CatFault, track, "fault_resume", now,
-                            obs::TraceArgs().add("fault", fid));
-                tr->flow(obs::CatFault, track, "fault", now, fid,
-                         obs::TraceSession::FlowPhase::End);
-            }
-            done(rep);
-        }));
+    _network.send(cpuDeviceId, req.requester, ic::MessageSizes::xlatReply,
+                  [this, r = &req] {
+        const Tick now = _engine.now();
+        obs::FaultSpans::completeActive(r->fid, now);
+        if (auto *tr = obs::TraceSession::activeFor(obs::CatFault)) {
+            const std::string track = "gpu" + std::to_string(r->requester);
+            tr->instant(obs::CatFault, track, "fault_resume", now,
+                        obs::TraceArgs().add("fault", r->fid));
+            tr->flow(obs::CatFault, track, "fault", now, r->fid,
+                     obs::TraceSession::FlowPhase::End);
+        }
+        r->client->onXlatReply(*r);
+    });
 }
 
 void
@@ -256,10 +284,12 @@ Iommu::onMigrationDone(PageId page)
     auto it = _parked.find(page);
     if (it == _parked.end())
         return;
-    std::vector<Request> waiters = std::move(it->second);
-    _parked.erase(it);
-    for (auto &req : waiters)
-        resolve(std::move(req));
+    // Read each link before resolve() may park the request again.
+    for (XlatRequest *r = it->second.take(), *next; r; r = next) {
+        next = r->next;
+        --_parkedNow;
+        resolve(*r);
+    }
 }
 
 } // namespace griffin::xlat

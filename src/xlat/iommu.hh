@@ -14,14 +14,16 @@
  * CPU-resident pages are deliberately *not* cached in the IOTLB: the
  * policy must observe every access to them, which is how DFTM detects
  * the second touch (SS III-A).
+ *
+ * Requests are the requester's own records (XlatRequest), held by
+ * pointer from arrival to reply: a translation round trip allocates
+ * nothing in the IOMMU.
  */
 
 #ifndef GRIFFIN_XLAT_IOMMU_HH
 #define GRIFFIN_XLAT_IOMMU_HH
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -56,13 +58,53 @@ struct XlatReply
     bool cacheable = false;
 };
 
+struct XlatRequest;
+
 /**
- * Completion callback of a translation request. Move-only with inline
- * capture storage (see sim::InlineFn): requesters typically capture a
- * per-access state pointer, which fits inline; a wrapper that captures
- * another XlatDone must go through sim::boxed().
+ * The requester side of translation: receives each reply when it
+ * lands back at the requesting device. Implemented by gpu::Gpu.
  */
-using XlatDone = sim::InlineFn<void(XlatReply)>;
+class XlatClient
+{
+  public:
+    virtual ~XlatClient() = default;
+
+    /** @p req's answer, in req.reply, has crossed the fabric. */
+    virtual void onXlatReply(XlatRequest &req) = 0;
+};
+
+/**
+ * One translation request. The requester owns it and keeps it alive
+ * until the reply lands; the IOMMU holds it by pointer the whole way
+ * (IOTLB probe, walk queue, coalescing, parking behind a migration)
+ * and hands the same pointer back in XlatClient::onXlatReply(). A GPU
+ * embeds this in its per-access record, so a translation round trip
+ * allocates nothing.
+ */
+struct XlatRequest
+{
+    /** Receives the reply at the requester. */
+    XlatClient *client = nullptr;
+    DeviceId requester = 0;
+    PageId page = 0;
+    bool isWrite = false;
+    /**
+     * Requester-side TLB-miss time, the span origin if this request
+     * turns into a page fault; maxTick means arrival at the IOMMU.
+     */
+    Tick origin = maxTick;
+
+    /** @name Written by the IOMMU @{ */
+    /** When a walker picked this page up / finished the walk. */
+    Tick walkStart = 0;
+    Tick walkEnd = 0;
+    /** Span identity, allocated only if a fault is raised. */
+    FaultId fid = invalidFaultId;
+    XlatReply reply;
+    /** Link in the IOMMU's walk-waiter and parked lists. */
+    XlatRequest *next = nullptr;
+    /** @} */
+};
 
 /**
  * The IOMMU model.
@@ -89,16 +131,13 @@ class Iommu
     }
 
     /**
-     * A translation request has arrived at the IOMMU (the requester
-     * already paid the fabric crossing). The reply is sent back over
-     * the fabric; @p done runs at the requester.
-     *
-     * @param origin the requester-side TLB-miss timestamp, used as
-     *               the span origin if this request turns into a page
-     *               fault; defaults to arrival time at the IOMMU.
+     * @p req has arrived at the IOMMU (the requester already paid the
+     * fabric crossing). The reply is sent back over the fabric and
+     * req.client->onXlatReply(req) runs at the requester. The caller
+     * sets client, requester, page, isWrite and origin; the IOMMU
+     * resets the fields it writes.
      */
-    void request(DeviceId requester, PageId page, bool is_write,
-                 XlatDone done, Tick origin = maxTick);
+    void request(XlatRequest &req);
 
     /**
      * Mark @p page as under migration: new and parked requests wait
@@ -146,21 +185,14 @@ class Iommu
     unsigned
     activeWalks() const
     {
-        return _busyWalkers + unsigned(_walkQueue.size());
+        return _busyWalkers + unsigned(_walkQueue.size() - _walkHead);
     }
 
     /** Walkers currently in a walk (occupancy probe). */
     unsigned busyWalkers() const { return _busyWalkers; }
 
     /** Requests parked behind in-flight migrations (watchdog probe). */
-    std::size_t
-    parkedCount() const
-    {
-        std::size_t count = 0;
-        for (const auto &[page, waiters] : _parked)
-            count += waiters.size();
-        return count;
-    }
+    std::size_t parkedCount() const { return _parkedNow; }
 
     const IommuConfig &config() const { return _config; }
 
@@ -177,19 +209,16 @@ class Iommu
     /** @} */
 
   private:
-    struct Request
+    /** FIFO of requests linked through XlatRequest::next. */
+    struct RequestList
     {
-        DeviceId requester;
-        PageId page;
-        bool isWrite;
-        XlatDone done;
-        /** Requester-side TLB-miss time (span origin on a fault). */
-        Tick origin = 0;
-        /** When a walker picked this page up / finished the walk. */
-        Tick walkStart = 0;
-        Tick walkEnd = 0;
-        /** Span identity, allocated only if a fault is raised. */
-        FaultId fid = invalidFaultId;
+        XlatRequest *head = nullptr;
+        XlatRequest *tail = nullptr;
+
+        bool empty() const { return head == nullptr; }
+        void push(XlatRequest &req);
+        /** Detach the whole list; returns its head. */
+        XlatRequest *take();
     };
 
     sim::Engine &_engine;
@@ -202,18 +231,28 @@ class Iommu
     FaultHandler *_faultHandler = nullptr;
     sys::FaultInjector *_injector = nullptr;
 
-    /** Pages queued for a walk, FCFS; waiters held in _walkWaiters. */
-    std::deque<PageId> _walkQueue;
-    /** Requests waiting on a queued or in-flight walk, per page. */
-    std::unordered_map<PageId, std::vector<Request>> _walkWaiters;
+    /**
+     * Pages queued for a walk, FCFS, consumed from _walkHead; the
+     * storage is reused once the queue drains.
+     */
+    std::vector<PageId> _walkQueue;
+    std::size_t _walkHead = 0;
+    /**
+     * Requests waiting on a queued or in-flight walk, per page. An
+     * entry outlives its walk (an empty list means no walk pending),
+     * so a steady stream of walks allocates nothing.
+     */
+    std::unordered_map<PageId, RequestList> _walkWaiters;
     unsigned _busyWalkers = 0;
-    std::unordered_map<PageId, std::vector<Request>> _parked;
+    /** Requests parked behind an in-flight migration, per page. */
+    std::unordered_map<PageId, RequestList> _parked;
+    std::size_t _parkedNow = 0;
 
+    void lookup(XlatRequest &req);
     void startWalks();
     void finishWalk(PageId page);
-    void resolve(Request req);
-    /** Consumes req.done (the request is retired by the reply). */
-    void reply(Request &req, XlatReply rep);
+    void resolve(XlatRequest &req);
+    void reply(XlatRequest &req, XlatReply rep);
 };
 
 } // namespace griffin::xlat

@@ -15,6 +15,8 @@
 #include "src/core/migration_policy.hh"
 #include "src/gpu/gpu.hh"
 #include "src/sim/engine.hh"
+#include "tests/gpu/loopback_router.hh"
+#include "tests/xlat/stub_requester.hh"
 
 using namespace griffin;
 
@@ -37,21 +39,6 @@ class NullHandler : public xlat::FaultHandler
     void onPageFault(DeviceId, PageId, FaultId = invalidFaultId) override {}
 };
 
-class NullRouter : public gpu::RemoteRouter
-{
-  public:
-    explicit NullRouter(sim::Engine &engine) : _engine(engine) {}
-    void
-    remoteAccess(DeviceId, DeviceId, Addr, bool,
-                 sim::EventFn done) override
-    {
-        _engine.schedule(10, std::move(done));
-    }
-
-  private:
-    sim::Engine &_engine;
-};
-
 struct Rig
 {
     sim::Engine engine;
@@ -60,7 +47,7 @@ struct Rig
     xlat::Iommu iommu{engine, net, pt, xlat::IommuConfig{}};
     NeverMigratePolicy policy;
     NullHandler handler;
-    NullRouter router{engine};
+    test::LoopbackRouter router{engine, 10};
     std::vector<std::unique_ptr<gpu::Gpu>> gpus;
     std::vector<gpu::Gpu *> gpu_ptrs;
     mem::Dram cpuDram{mem::DramConfig{}};
@@ -78,6 +65,7 @@ struct Rig
         for (DeviceId id = 1; id <= 4; ++id) {
             gpus.push_back(std::make_unique<gpu::Gpu>(
                 engine, id, cfg, net, iommu, router));
+            router.gpus.push_back(gpus.back().get());
             gpu_ptrs.push_back(gpus.back().get());
             drams.push_back(&gpus.back()->dram());
         }
@@ -195,9 +183,8 @@ TEST(MigrationExecutor, ParkedTranslationsReplayToNewLocation)
     rig.executor->executeBatch(batch, [] {});
     // While the migration is in flight, a translation request parks.
     rig.engine.runUntil(50); // past the drain command
-    auto reply = std::make_shared<std::optional<xlat::XlatReply>>();
-    rig.iommu.request(4, 10, false,
-                      [reply](xlat::XlatReply r) { *reply = r; });
+    test::StubRequester requester;
+    const auto *reply = requester.request(rig.iommu, 4, 10);
     rig.engine.run();
     ASSERT_TRUE(reply->has_value());
     EXPECT_EQ((*reply)->location, 2u);

@@ -13,25 +13,11 @@
 #include "src/core/griffin_policy.hh"
 #include "src/gpu/gpu.hh"
 #include "src/sim/engine.hh"
+#include "tests/gpu/loopback_router.hh"
 
 using namespace griffin;
 
 namespace {
-
-class NullRouter : public gpu::RemoteRouter
-{
-  public:
-    explicit NullRouter(sim::Engine &engine) : _engine(engine) {}
-    void
-    remoteAccess(DeviceId, DeviceId, Addr, bool,
-                 sim::EventFn done) override
-    {
-        _engine.schedule(10, std::move(done));
-    }
-
-  private:
-    sim::Engine &_engine;
-};
 
 class NullHandler : public xlat::FaultHandler
 {
@@ -45,7 +31,7 @@ struct Rig
     mem::PageTable pt{12, 5};
     ic::Network net{engine, 5, ic::LinkConfig{32.0, 10}};
     xlat::Iommu iommu{engine, net, pt, xlat::IommuConfig{}};
-    NullRouter router{engine};
+    test::LoopbackRouter router{engine, 10};
     NullHandler handler;
     std::vector<std::unique_ptr<gpu::Gpu>> gpus;
     std::vector<gpu::Gpu *> gpu_ptrs;
@@ -63,6 +49,7 @@ struct Rig
         for (DeviceId id = 1; id <= 4; ++id) {
             gpus.push_back(std::make_unique<gpu::Gpu>(
                 engine, id, cfg, net, iommu, router));
+            router.gpus.push_back(gpus.back().get());
             gpu_ptrs.push_back(gpus.back().get());
             drams.push_back(&gpus.back()->dram());
         }
@@ -122,7 +109,9 @@ TEST(GriffinPolicy, CollectionDrainsTheAccessCounters)
 {
     Rig rig;
     // Record some traffic into GPU 2's counters.
-    rig.gpu_ptrs[1]->cuAccess(0, 0x5000, false, [] {});
+    wl::Workgroup wg;
+    wg.wavefronts.push_back(wl::WavefrontTrace{{wl::MemOp{0x5000, 1, false}}});
+    rig.gpu_ptrs[1]->enqueueWorkgroup(std::move(wg));
     rig.engine.run();
     rig.policy->onSystemStart();
     rig.engine.runUntil(1500); // one period, including the messages

@@ -26,18 +26,16 @@ class StubMemory : public CuMemoryInterface
     explicit StubMemory(sim::Engine &engine) : _engine(engine) {}
 
     void
-    cuAccess(unsigned cu_id, Addr vaddr, bool is_write,
-             sim::EventFn done) override
+    cuAccess(ComputeUnit &cu, std::uint32_t wf, std::uint64_t seq,
+             Addr vaddr, bool is_write) override
     {
-        (void)cu_id;
         accesses.push_back({vaddr, is_write});
         ++inflight;
         maxInflight = std::max(maxInflight, inflight);
-        _engine.schedule(latency,
-                         sim::boxed([this, done = std::move(done)] {
+        _engine.schedule(latency, [this, &cu, wf, seq] {
             --inflight;
-            done();
-        }));
+            cu.opDone(wf, seq);
+        });
     }
 
     std::vector<std::pair<Addr, bool>> accesses;
@@ -199,6 +197,66 @@ TEST(ComputeUnit, StaleRepliesAfterFlushAreIgnored)
     cu.resume();
     engine.run();
     EXPECT_EQ(cu.opsCompleted, 2u);
+}
+
+TEST(ComputeUnit, StaleReplyAfterReissueIsDropped)
+{
+    sim::Engine engine;
+    StubMemory memory(engine);
+    memory.latency = 100;
+    ComputeUnit cu(engine, memory, 0, CuConfig{16, 1});
+    cu.startWorkgroup(makeWorkgroup(1, 1), nullptr);
+    engine.runUntil(10); // the op is in flight until t=101
+    cu.flushPipeline();
+    EXPECT_EQ(cu.inflightOps(), 0u);
+    EXPECT_EQ(cu.opsDiscarded, 1u);
+
+    // The replay of the same wavefront and pc is still in flight when
+    // the discarded op's reply lands: that reply must not retire it.
+    memory.latency = 200;
+    cu.resume();
+    engine.runUntil(150);
+    EXPECT_EQ(memory.accesses.size(), 2u);
+    EXPECT_EQ(cu.inflightOps(), 1u);
+    EXPECT_EQ(cu.opsCompleted, 0u);
+
+    engine.run();
+    EXPECT_EQ(cu.inflightOps(), 0u);
+    EXPECT_EQ(cu.opsCompleted, 1u);
+    EXPECT_EQ(cu.opsDiscarded, 1u);
+    EXPECT_EQ(cu.workgroupsRetired, 1u);
+}
+
+TEST(ComputeUnit, StaleReplyAfterNextWorkgroupStartsIsDropped)
+{
+    sim::Engine engine;
+    StubMemory memory(engine);
+    memory.latency = 100;
+    ComputeUnit cu(engine, memory, 0, CuConfig{16, 1});
+    int retired = 0;
+    cu.startWorkgroup(makeWorkgroup(1, 1), [&] {
+        ++retired;
+        // The next workgroup's only op (same wavefront index, same
+        // pc) is in flight when the first one's discarded reply lands.
+        memory.latency = 300;
+        cu.startWorkgroup(makeWorkgroup(1, 1), [&] { ++retired; });
+    });
+    engine.runUntil(10); // the op is in flight until t=101
+    cu.flushPipeline();
+    memory.latency = 10;
+    cu.resume(); // the replay completes by t=21 and the workgroup retires
+
+    engine.runUntil(150);
+    EXPECT_EQ(retired, 1);
+    EXPECT_EQ(cu.opsCompleted, 1u);
+    EXPECT_EQ(cu.inflightOps(), 1u);
+    EXPECT_EQ(cu.opsDiscarded, 1u);
+
+    engine.run();
+    EXPECT_EQ(retired, 2);
+    EXPECT_EQ(cu.opsCompleted, 2u);
+    EXPECT_EQ(cu.inflightOps(), 0u);
+    EXPECT_EQ(memory.accesses.size(), 3u);
 }
 
 TEST(ComputeUnit, BackToBackWorkgroups)

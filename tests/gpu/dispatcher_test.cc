@@ -15,25 +15,11 @@
 #include "src/gpu/gpu.hh"
 #include "src/sim/engine.hh"
 #include "src/xlat/iommu.hh"
+#include "tests/gpu/loopback_router.hh"
 
 using namespace griffin;
 
 namespace {
-
-class NullRouter : public gpu::RemoteRouter
-{
-  public:
-    explicit NullRouter(sim::Engine &engine) : _engine(engine) {}
-    void
-    remoteAccess(DeviceId, DeviceId, Addr, bool,
-                 sim::EventFn done) override
-    {
-        _engine.schedule(1, std::move(done));
-    }
-
-  private:
-    sim::Engine &_engine;
-};
 
 class InstantDriver : public xlat::FaultHandler
 {
@@ -63,7 +49,7 @@ struct Rig
     xlat::Iommu iommu{engine, net, pt, xlat::IommuConfig{}};
     core::FirstTouchPolicy policy;
     InstantDriver driver{pt, iommu};
-    NullRouter router{engine};
+    test::LoopbackRouter router{engine, 1};
     std::vector<std::unique_ptr<gpu::Gpu>> gpus;
     std::vector<gpu::Gpu *> ptrs;
     std::unique_ptr<gpu::Dispatcher> dispatcher;
@@ -78,6 +64,7 @@ struct Rig
         for (DeviceId id = 1; id <= 4; ++id) {
             gpus.push_back(std::make_unique<gpu::Gpu>(
                 engine, id, cfg, net, iommu, router));
+            router.gpus.push_back(gpus.back().get());
             ptrs.push_back(gpus.back().get());
         }
         dispatcher = std::make_unique<gpu::Dispatcher>(engine, ptrs, 4);

@@ -15,6 +15,7 @@
 #include "src/gpu/gpu.hh"
 #include "src/sim/engine.hh"
 #include "src/xlat/iommu.hh"
+#include "tests/gpu/loopback_router.hh"
 
 using namespace griffin;
 
@@ -56,28 +57,6 @@ class InstantDriver : public xlat::FaultHandler
     xlat::Iommu &_iommu;
 };
 
-class StubRouter : public gpu::RemoteRouter
-{
-  public:
-    explicit StubRouter(sim::Engine &engine) : _engine(engine) {}
-
-    void
-    remoteAccess(DeviceId requester, DeviceId owner, Addr addr,
-                 bool is_write, sim::EventFn done) override
-    {
-        (void)requester;
-        (void)is_write;
-        remote.push_back({owner, addr});
-        _engine.schedule(latency, std::move(done));
-    }
-
-    std::vector<std::pair<DeviceId, Addr>> remote;
-    Tick latency = 100;
-
-  private:
-    sim::Engine &_engine;
-};
-
 struct Rig
 {
     sim::Engine engine;
@@ -86,7 +65,7 @@ struct Rig
     xlat::Iommu iommu{engine, net, pt, xlat::IommuConfig{}};
     AlwaysMigratePolicy policy;
     InstantDriver driver{pt, iommu};
-    StubRouter router{engine};
+    test::LoopbackRouter router{engine, 100};
     gpu::GpuConfig cfg;
     std::unique_ptr<gpu::Gpu> gpu1;
 
@@ -96,16 +75,32 @@ struct Rig
         iommu.setFaultHandler(&driver);
         gpu1 = std::make_unique<gpu::Gpu>(engine, 1, cfg, net, iommu,
                                           router);
+        router.gpus.push_back(gpu1.get());
     }
 
-    /** Issue one access from CU 0 and report completion time. */
+    /**
+     * Run @p addrs as one wavefront on CU @p cu (which must be idle);
+     * the result is set when the workgroup retires.
+     */
+    std::shared_ptr<std::optional<Tick>>
+    issue(unsigned cu, std::vector<Addr> addrs, bool is_write = false)
+    {
+        wl::WavefrontTrace trace;
+        for (const Addr a : addrs)
+            trace.ops.push_back(wl::MemOp{a, 0, is_write});
+        wl::Workgroup wg;
+        wg.wavefronts.push_back(std::move(trace));
+        auto done = std::make_shared<std::optional<Tick>>();
+        gpu1->cu(cu).startWorkgroup(std::move(wg),
+                                    [this, done] { *done = engine.now(); });
+        return done;
+    }
+
+    /** One access from CU 0. */
     std::shared_ptr<std::optional<Tick>>
     access(Addr vaddr, bool is_write = false)
     {
-        auto done = std::make_shared<std::optional<Tick>>();
-        gpu1->cuAccess(0, vaddr, is_write,
-                       [this, done] { *done = engine.now(); });
-        return done;
+        return issue(0, {vaddr}, is_write);
     }
 };
 
@@ -144,10 +139,9 @@ TEST(Gpu, L2TlbServesOtherCus)
     rig.access(0x5000);
     rig.engine.run();
     // CU 7 misses its own L1 TLB but hits the shared L2 TLB.
-    bool done = false;
-    rig.gpu1->cuAccess(7, 0x5000, false, [&] { done = true; });
+    auto done = rig.issue(7, {0x5000});
     rig.engine.run();
-    EXPECT_TRUE(done);
+    EXPECT_TRUE(done->has_value());
     EXPECT_EQ(rig.gpu1->xlatRequestsSent, 1u);
     EXPECT_TRUE(rig.gpu1->l1Tlb(7).probe(5));
 }
@@ -176,9 +170,8 @@ TEST(Gpu, AccessCountersRecordPerShaderEngine)
 {
     Rig rig;
     // CU 0 is in SE 0; CU 9 is in SE 1 (9 CUs per SE).
-    rig.gpu1->cuAccess(0, 0x1000, false, [] {});
-    rig.gpu1->cuAccess(0, 0x1040, false, [] {});
-    rig.gpu1->cuAccess(9, 0x2000, false, [] {});
+    rig.issue(0, {0x1000, 0x1040});
+    rig.issue(9, {0x2000});
     rig.engine.run();
 
     const auto counts = rig.gpu1->collectAccessCounts();
@@ -191,7 +184,7 @@ TEST(Gpu, AccessCountersRecordPerShaderEngine)
 TEST(Gpu, CollectAccessCountsResets)
 {
     Rig rig;
-    rig.gpu1->cuAccess(0, 0x1000, false, [] {});
+    rig.access(0x1000);
     rig.engine.run();
     EXPECT_EQ(rig.gpu1->collectAccessCounts().size(), 1u);
     EXPECT_TRUE(rig.gpu1->collectAccessCounts().empty());
@@ -201,7 +194,7 @@ TEST(Gpu, ShootdownPagesIsSelectiveAcrossAllTlbs)
 {
     Rig rig;
     rig.access(0x5000);
-    rig.access(0x6000);
+    rig.issue(1, {0x6000});
     rig.engine.run();
     ASSERT_TRUE(rig.gpu1->l1Tlb(0).probe(5));
     ASSERT_TRUE(rig.gpu1->l2Tlb().probe(6));
@@ -264,6 +257,31 @@ TEST(Gpu, DrainIgnoresDataPhaseOnOtherPages)
     rig.gpu1->drainForPages(pages, [&] { drained = true; });
     rig.engine.run();
     EXPECT_TRUE(drained); // ACUD's whole point
+}
+
+TEST(Gpu, IncomingDcaOccupiesTheDataPhase)
+{
+    Rig rig;
+    // Device 2 reads a line of page 7, which GPU 1 owns: while GPU 1's
+    // RDMA engine serves it, the access holds a drain of page 7.
+    gpu::MemAccess r;
+    r.requester = 2;
+    r.owner = 1;
+    r.page = 7;
+    r.vaddr = 0x7000;
+    rig.gpu1->rdma().serve(r);
+    Tick drained_at = 0;
+    rig.gpu1->drainForPages(
+        std::make_shared<std::vector<PageId>>(std::vector<PageId>{7}),
+        [&] { drained_at = rig.engine.now(); });
+    rig.engine.run();
+    EXPECT_EQ(rig.gpu1->drainsImmediate, 0u);
+    ASSERT_EQ(rig.router.replies.size(), 1u);
+    EXPECT_EQ(rig.router.replies[0].first, 2u);
+    // The drain ends when the reply leaves; the reply lands later.
+    EXPECT_GT(drained_at, 0u);
+    EXPECT_LT(drained_at, rig.router.replies[0].second);
+    rig.gpu1->resumeAllCus();
 }
 
 TEST(Gpu, FlushForMigrationInvalidatesEverything)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <optional>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "src/mem/cache.hh"
 #include "src/mem/dram.hh"
 #include "src/sim/engine.hh"
+#include "tests/gpu/loopback_router.hh"
 
 using namespace griffin;
 
@@ -25,7 +27,28 @@ struct RdmaRig
     ic::Network net{engine, 5, ic::LinkConfig{32.0, 100}};
     mem::Cache l2{mem::CacheConfig{256 * 1024, 16, 64, 20}};
     mem::Dram dram{mem::DramConfig{}};
-    gpu::Rdma rdma{engine, net, /*self=*/2, l2, dram, 64};
+    test::LoopbackRouter router{engine, 0};
+    gpu::Rdma rdma{engine, net, router, /*self=*/2, l2, dram, 64};
+    std::deque<gpu::MemAccess> accesses;
+
+    /**
+     * Serve a remote access from @p requester; the result is when its
+     * reply landed there (empty until it does).
+     */
+    std::optional<Tick>
+    serve(Addr addr, bool is_write, DeviceId requester)
+    {
+        gpu::MemAccess &r = accesses.emplace_back();
+        r.vaddr = addr;
+        r.isWrite = is_write;
+        r.requester = requester;
+        rdma.serve(r);
+        engine.run();
+        if (router.replies.empty())
+            return std::nullopt;
+        EXPECT_EQ(router.replies.back().first, requester);
+        return router.replies.back().second;
+    }
 };
 
 } // namespace
@@ -33,10 +56,7 @@ struct RdmaRig
 TEST(Rdma, ReadMissGoesToDramAndRepliesWithData)
 {
     RdmaRig rig;
-    std::optional<Tick> done;
-    rig.rdma.serve(0x1000, false, /*reply_to=*/1,
-                   [&] { done = rig.engine.now(); });
-    rig.engine.run();
+    const auto done = rig.serve(0x1000, false, /*requester=*/1);
     ASSERT_TRUE(done.has_value());
     EXPECT_EQ(rig.rdma.readsServed, 1u);
     EXPECT_EQ(rig.dram.reads, 1u);
@@ -51,13 +71,10 @@ TEST(Rdma, ReadHitSkipsDram)
 {
     RdmaRig rig;
     rig.l2.access(0x1000, false); // warm the line
-    std::optional<Tick> miss_done, hit_done;
-    rig.rdma.serve(0x2000, false, 1, [&] { miss_done = rig.engine.now(); });
-    rig.engine.run();
+    const auto miss_done = rig.serve(0x2000, false, 1);
     RdmaRig rig2;
     rig2.l2.access(0x1000, false);
-    rig2.rdma.serve(0x1000, false, 1, [&] { hit_done = rig2.engine.now(); });
-    rig2.engine.run();
+    const auto hit_done = rig2.serve(0x1000, false, 1);
     EXPECT_EQ(rig2.rdma.l2HitsServed, 1u);
     EXPECT_EQ(rig2.dram.reads, 0u);
     EXPECT_LT(*hit_done, *miss_done);
@@ -66,36 +83,12 @@ TEST(Rdma, ReadHitSkipsDram)
 TEST(Rdma, WriteAcksWithSmallMessage)
 {
     RdmaRig rig;
-    bool done = false;
-    rig.rdma.serve(0x3000, true, 3, [&] { done = true; });
-    rig.engine.run();
-    EXPECT_TRUE(done);
+    EXPECT_TRUE(rig.serve(0x3000, true, 3).has_value());
     EXPECT_EQ(rig.rdma.writesServed, 1u);
     EXPECT_EQ(rig.net.link(2).bytesSent[0],
               ic::MessageSizes::dcaWriteAck);
     // Write-allocate left the line dirty in the L2.
     EXPECT_TRUE(rig.l2.probe(0x3000));
-}
-
-TEST(Rdma, DataPhaseHooksBracketTheAccess)
-{
-    RdmaRig rig;
-    int phase = 0; // 0 = before, 1 = entered, 2 = left
-    bool replied = false;
-    rig.rdma.serve(
-        0x1000, false, 1, [&] { replied = true; },
-        [&] {
-            EXPECT_EQ(phase, 0);
-            phase = 1;
-        },
-        [&] {
-            EXPECT_EQ(phase, 1);
-            phase = 2;
-            EXPECT_FALSE(replied) << "leave fires before the reply";
-        });
-    rig.engine.run();
-    EXPECT_EQ(phase, 2);
-    EXPECT_TRUE(replied);
 }
 
 namespace {

@@ -23,6 +23,7 @@
 #include "src/sys/multi_gpu_system.hh"
 #include "src/sys/report.hh"
 #include "src/workloads/workload.hh"
+#include "tests/gpu/loopback_router.hh"
 
 using namespace griffin;
 
@@ -179,21 +180,6 @@ class NullHandler : public xlat::FaultHandler
     void onPageFault(DeviceId, PageId, FaultId = invalidFaultId) override {}
 };
 
-class NullRouter : public gpu::RemoteRouter
-{
-  public:
-    explicit NullRouter(sim::Engine &engine) : _engine(engine) {}
-    void
-    remoteAccess(DeviceId, DeviceId, Addr, bool,
-                 sim::EventFn done) override
-    {
-        _engine.schedule(10, std::move(done));
-    }
-
-  private:
-    sim::Engine &_engine;
-};
-
 struct PingPongRig
 {
     sim::Engine engine;
@@ -202,7 +188,7 @@ struct PingPongRig
     xlat::Iommu iommu{engine, net, pt, xlat::IommuConfig{}};
     NeverMigratePolicy policy;
     NullHandler handler;
-    NullRouter router{engine};
+    test::LoopbackRouter router{engine, 10};
     std::vector<std::unique_ptr<gpu::Gpu>> gpus;
     std::vector<gpu::Gpu *> gpu_ptrs;
     mem::Dram cpuDram{mem::DramConfig{}};
@@ -221,6 +207,7 @@ struct PingPongRig
         for (DeviceId id = 1; id <= 4; ++id) {
             gpus.push_back(std::make_unique<gpu::Gpu>(
                 engine, id, cfg, net, iommu, router));
+            router.gpus.push_back(gpus.back().get());
             gpu_ptrs.push_back(gpus.back().get());
             drams.push_back(&gpus.back()->dram());
         }

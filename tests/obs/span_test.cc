@@ -21,6 +21,7 @@
 #include "src/obs/span.hh"
 #include "src/sim/engine.hh"
 #include "src/xlat/iommu.hh"
+#include "tests/xlat/stub_requester.hh"
 
 using namespace griffin;
 using obs::FaultSpans;
@@ -205,21 +206,20 @@ TEST(FaultSpansIntegration, CpmsBatchedFaultsFormCompleteSpanTrees)
 
     // Four GPUs fault four distinct CPU-resident pages, staggered so
     // the early faults genuinely wait for the batch to fill.
-    unsigned replies = 0;
+    test::StubRequester requester;
     std::vector<Tick> origins;
     for (PageId p = 0; p < 4; ++p) {
         const Tick at = Tick(p) * 40;
         origins.push_back(at);
-        rig.engine.schedule(at, [&rig, &replies, p] {
-            rig.iommu.request(DeviceId(p + 1), p, false,
-                              [&replies](xlat::XlatReply) { ++replies; },
+        rig.engine.schedule(at, [&rig, &requester, p] {
+            requester.request(rig.iommu, DeviceId(p + 1), p,
                               rig.engine.now());
         });
     }
     rig.engine.run();
     spans.detach();
 
-    EXPECT_EQ(replies, 4u);
+    EXPECT_EQ(requester.replies, 4u);
     EXPECT_EQ(rig.driver->batchesProcessed, 1u);
     EXPECT_EQ(rig.driver->cpuShootdowns, 1u);
 

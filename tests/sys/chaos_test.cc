@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/watchdog.hh"
 #include "src/sys/chaos.hh"
 #include "src/sys/multi_gpu_system.hh"
 #include "src/workloads/workload.hh"
@@ -300,4 +301,32 @@ TEST(ChaosSystem, ReportAccountsForEveryInjection)
                              r.stats.get("chaos.walkerStalls");
     EXPECT_EQ(double(r.chaosInjected), per_class);
     EXPECT_GT(r.chaosInjected, 0u);
+}
+
+TEST(ChaosSystem, WatchdogThrowMidRunReleasesInFlightAccesses)
+{
+    // A run cut short by the maxTicks watchdog leaves accesses in every
+    // layer: queued events and the IOMMU hold pooled access records by
+    // pointer. Destroying the system must free each record once and
+    // run no queued event (the sanitizer job checks both).
+    auto chaos = ChaosConfig::parse("link=0.02,walker=0.05");
+    ASSERT_TRUE(chaos.has_value());
+    wl::WorkloadConfig wcfg;
+    wcfg.scaleDiv = 64;
+    wcfg.seed = 42;
+    auto workload = wl::makeWorkload("SC", wcfg);
+    auto scfg = sys::SystemConfig::baseline();
+    scfg.chaos = *chaos;
+    scfg.maxTicks = 50000;
+    auto system = std::make_unique<sys::MultiGpuSystem>(scfg);
+    EXPECT_THROW(system->run(*workload), sim::WatchdogError);
+
+    std::size_t inflight = 0;
+    for (unsigned g = 0; g < system->numGpus(); ++g) {
+        for (unsigned c = 0; c < system->gpu(g).numCus(); ++c)
+            inflight += system->gpu(g).cu(c).inflightOps();
+    }
+    EXPECT_GT(inflight, 0u);
+    EXPECT_GT(system->engine().pendingEvents(), 0u);
+    system.reset();
 }

@@ -14,6 +14,7 @@
 #include "src/mem/page_table.hh"
 #include "src/sim/engine.hh"
 #include "src/xlat/iommu.hh"
+#include "tests/xlat/stub_requester.hh"
 
 using namespace griffin;
 
@@ -72,14 +73,13 @@ struct Rig
         iommu.setFaultHandler(&handler);
     }
 
-    /** Issue a request and capture the reply. */
-    std::shared_ptr<std::optional<xlat::XlatReply>>
-    request(DeviceId requester, PageId page)
+    test::StubRequester requester;
+
+    /** Issue a request; the result holds the reply once it lands. */
+    const std::optional<xlat::XlatReply> *
+    request(DeviceId from, PageId page)
     {
-        auto out = std::make_shared<std::optional<xlat::XlatReply>>();
-        iommu.request(requester, page, false,
-                      [out](xlat::XlatReply r) { *out = r; });
-        return out;
+        return requester.request(iommu, from, page);
     }
 };
 
@@ -112,6 +112,7 @@ TEST(Iommu, IotlbHitSkipsWalk)
     rig.pt.setLocation(5, 2);
     auto first = rig.request(1, 5);
     rig.engine.run();
+    EXPECT_TRUE(first->has_value());
     EXPECT_EQ(rig.iommu.walks, 1u);
     auto second = rig.request(3, 5);
     rig.engine.run();
@@ -126,6 +127,7 @@ TEST(Iommu, CpuResidentNeverCachedInIotlb)
     rig.policy.migrateAnswer = false; // DCA redirect
     auto r1 = rig.request(1, 7);
     rig.engine.run();
+    EXPECT_TRUE(r1->has_value());
     auto r2 = rig.request(1, 7);
     rig.engine.run();
     // Both accesses reached the policy: DFTM can see the 2nd touch.
@@ -200,7 +202,7 @@ TEST(Iommu, WalkerPoolBoundsConcurrency)
     cfg.walkLatency = 100;
     Rig rig(cfg);
     // Distinct pages so nothing coalesces.
-    std::vector<std::shared_ptr<std::optional<xlat::XlatReply>>> replies;
+    std::vector<const std::optional<xlat::XlatReply> *> replies;
     for (PageId p = 0; p < 6; ++p) {
         rig.pt.setLocation(p, 1);
         rig.iommu.invalidateIotlb(p);
