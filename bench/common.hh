@@ -24,9 +24,10 @@
  *   --host-prof[=FILE]  host-side self-profiling: attributes the
  *                   simulator's wall-clock time per component/event
  *                   type, adds a "host_profile" section to each report
- *                   run, and (with =FILE) writes the sweep-aggregated
+ *                   run, prints a summary of all runs on stderr at
+ *                   exit, and (with =FILE) writes the aggregated
  *                   folded stacks for flamegraph/speedscope
- *   --host-gate=N   warn (never fail) when the sweep dispatched fewer
+ *   --host-gate=N   warn (never fail) when the runs dispatched fewer
  *                   than N events/sec of host wall time; implies
  *                   --host-prof
  *   --progress      one-line sweep progress on stderr (done/total,
@@ -43,11 +44,11 @@
  * Concurrency model: benches submit every independent run of a figure
  * to a bench::Sweep, which fans them out across --jobs worker threads
  * (sys::SweepRunner) and returns results in submission order. Each
- * run records into its own trace/report/samples fragments (the obs
- * sinks are thread-local), and ObsState merges the fragments in
- * submission order when the program exits — so every byte of stdout,
- * CSV, trace, report and samples output is identical for --jobs=1 and
- * --jobs=16.
+ * run records into its own trace/report/samples fragments (each
+ * system's sinks hang off its own engine's context), and ObsState
+ * merges the fragments in submission order when the program exits —
+ * so every byte of stdout, CSV, trace, report and samples output is
+ * identical for --jobs=1 and --jobs=16.
  */
 
 #ifndef GRIFFIN_BENCH_COMMON_HH
@@ -307,7 +308,8 @@ class ObsState
     explicit ObsState(const Options &opt)
         : _traceFile(opt.traceFile), _reportFile(opt.reportFile),
           _samplesFile(opt.samplesFile),
-          _hostProfFile(opt.hostProfFile),
+          _hostProfFile(opt.hostProfFile), _hostProf(opt.hostProf),
+          _hostGateEventsPerSec(opt.hostGateEventsPerSec),
           _categories(opt.traceAllCategories ? obs::allCategories
                                              : obs::defaultCategories)
     {
@@ -315,6 +317,16 @@ class ObsState
 
     ~ObsState()
     {
+        // Per-run profiles merge in slot (= submission) order, so
+        // bucket ordering is deterministic regardless of completion
+        // order.
+        obs::HostProfile host_total;
+        for (const Slot &slot : _slots) {
+            if (slot.hostProfile.enabled)
+                host_total.merge(slot.hostProfile);
+        }
+        if (_hostProf && host_total.enabled)
+            printHostSummary(host_total);
         if (!_traceFile.empty()) {
             std::vector<const obs::TraceSession *> sessions;
             std::size_t events = 0;
@@ -353,23 +365,15 @@ class ObsState
             }
         }
         if (!_hostProfFile.empty()) {
-            // Sweep-level profile: merge per-run profiles in slot
-            // (= submission) order so bucket ordering is deterministic
-            // regardless of completion order.
-            obs::HostProfile total;
-            for (const Slot &slot : _slots) {
-                if (slot.hostProfile.enabled)
-                    total.merge(slot.hostProfile);
-            }
-            if (!total.enabled) {
+            if (!host_total.enabled) {
                 std::cerr << "host-prof: no runs were profiled, not "
                           << "writing " << _hostProfFile << "\n";
             } else {
                 std::ofstream os(_hostProfFile);
-                os << total.folded();
+                os << host_total.folded();
                 std::cerr << "host-prof: " << _hostProfFile << " ("
-                          << total.buckets.size() << " buckets, "
-                          << total.events << " dispatches)\n";
+                          << host_total.buckets.size() << " buckets, "
+                          << host_total.events << " dispatches)\n";
             }
         }
     }
@@ -420,10 +424,54 @@ class ObsState
     };
 
     std::string _traceFile, _reportFile, _samplesFile, _hostProfFile;
+    bool _hostProf;
+    std::uint64_t _hostGateEventsPerSec;
     std::uint32_t _categories;
 
     std::mutex _mu;
     std::vector<Slot> _slots;
+
+    /**
+     * The --host-prof summary of @p total on stderr (host wall times
+     * are machine-dependent, so they stay out of the deterministic
+     * stdout contract) plus the --host-gate floor, which only warns:
+     * the exit code never changes.
+     */
+    void
+    printHostSummary(const obs::HostProfile &total) const
+    {
+        std::ostringstream os;
+        os << "host-prof: " << total.events << " dispatches, "
+           << sys::Table::num(total.eventsPerSec() / 1e6, 2)
+           << "M events/sec, "
+           << sys::Table::num(total.attributedFraction() * 100.0, 1)
+           << "% attributed, "
+           << sys::Table::num(total.obsFraction() * 100.0, 1)
+           << "% telemetry overhead\n";
+        std::vector<obs::HostProfile::Bucket> top = total.buckets;
+        std::sort(top.begin(), top.end(),
+                  [](const auto &a, const auto &b) {
+                      return a.selfNs != b.selfNs ? a.selfNs > b.selfNs
+                                                  : a.name() < b.name();
+                  });
+        if (top.size() > 5)
+            top.resize(5);
+        std::size_t shown = 0;
+        for (const auto &b : top) {
+            os << "  top" << ++shown << ": " << b.name() << "  "
+               << sys::Table::num(double(b.selfNs) / 1e6, 1) << " ms ("
+               << b.count << " events)\n";
+        }
+        std::cerr << os.str();
+        if (_hostGateEventsPerSec > 0 &&
+            total.eventsPerSec() < double(_hostGateEventsPerSec)) {
+            std::cerr << "WARNING: host throughput "
+                      << sys::Table::num(total.eventsPerSec(), 0)
+                      << " events/sec below --host-gate="
+                      << _hostGateEventsPerSec
+                      << " (soft gate: warning only)\n";
+        }
+    }
 };
 
 /** The bench-wide ObsState; the first call's options stick. */
@@ -484,7 +532,7 @@ class Sweep
         const std::size_t slot = _obs.reserveSlot();
 
         // Per-run sinks, created on the main thread so fragments are
-        // slot-ordered, attached and filled on the worker thread.
+        // slot-ordered, installed and filled on the worker thread.
         std::shared_ptr<obs::TraceSession> trace;
         if (_obs.tracing()) {
             trace = std::make_shared<obs::TraceSession>(
@@ -514,7 +562,7 @@ class Sweep
                       setup = std::move(setup)](
                          sys::MultiGpuSystem &system) {
             if (trace)
-                trace->attach();
+                system.engine().obs().trace = trace.get();
             if (sampler) {
                 system.registerProbes(*sampler);
                 sampler->start(system.engine(), period);
@@ -527,8 +575,6 @@ class Sweep
                                 const sys::RunResult &result) {
             if (sampler)
                 sampler->stop();
-            if (trace)
-                trace->detach();
             obs->addRun(slot, label, scfg, result, sampler.get(),
                         trace);
         };
@@ -596,55 +642,6 @@ emit(const sys::Table &table, const Options &opt)
     std::cout << table.str() << "\n";
     if (opt.csv)
         std::cout << "CSV:\n" << table.csv() << "\n";
-}
-
-/**
- * After a profiled sweep: print the aggregated host-time summary to
- * stderr (host wall times are machine-dependent, so they stay out of
- * the deterministic stdout contract) and evaluate the --host-gate
- * floor. The gate only warns — the exit code never changes.
- */
-inline void
-emitHostSummary(const std::vector<sys::RunResult> &results,
-                const Options &opt)
-{
-    if (!opt.hostProf)
-        return;
-    const obs::HostProfile total =
-        sys::SweepRunner::aggregateHostProfiles(results);
-    if (!total.enabled)
-        return;
-    std::ostringstream os;
-    os << "host-prof: " << total.events << " dispatches, "
-       << sys::Table::num(total.eventsPerSec() / 1e6, 2)
-       << "M events/sec, "
-       << sys::Table::num(total.attributedFraction() * 100.0, 1)
-       << "% attributed, "
-       << sys::Table::num(total.obsFraction() * 100.0, 1)
-       << "% telemetry overhead\n";
-    std::vector<obs::HostProfile::Bucket> top = total.buckets;
-    std::sort(top.begin(), top.end(),
-              [](const auto &a, const auto &b) {
-                  return a.selfNs != b.selfNs ? a.selfNs > b.selfNs
-                                              : a.name() < b.name();
-              });
-    if (top.size() > 5)
-        top.resize(5);
-    std::size_t shown = 0;
-    for (const auto &b : top) {
-        os << "  top" << ++shown << ": " << b.name() << "  "
-           << sys::Table::num(double(b.selfNs) / 1e6, 1) << " ms ("
-           << b.count << " events)\n";
-    }
-    std::cerr << os.str();
-    if (opt.hostGateEventsPerSec > 0 &&
-        total.eventsPerSec() < double(opt.hostGateEventsPerSec)) {
-        std::cerr << "WARNING: host throughput "
-                  << sys::Table::num(total.eventsPerSec(), 0)
-                  << " events/sec below --host-gate="
-                  << opt.hostGateEventsPerSec
-                  << " (soft gate: warning only)\n";
-    }
 }
 
 } // namespace griffin::bench

@@ -83,6 +83,5 @@ main(int argc, char **argv)
     std::cout << "(pinned gate config: scale=64 seed=42; compare the "
                  "--report output against BENCH_*.json with "
                  "griffin-compare)\n";
-    bench::emitHostSummary(results, opt);
     return 0;
 }

@@ -44,9 +44,11 @@ main(int argc, char **argv)
         ? unsigned(std::stoul(positional[1]))
         : 32;
 
+    // One session records both runs: each system gets it installed in
+    // its engine's telemetry context.
     obs::TraceSession trace;
-    if (!trace_file.empty())
-        trace.attach();
+    obs::TraceSession *const tracing =
+        trace_file.empty() ? nullptr : &trace;
 
     wl::WorkloadConfig wcfg;
     wcfg.scaleDiv = scale;
@@ -65,12 +67,14 @@ main(int argc, char **argv)
     }
     trace.beginProcess(name + "/first-touch");
     sys::MultiGpuSystem baseline(sys::SystemConfig::baseline());
+    baseline.engine().obs().trace = tracing;
     const auto base = baseline.run(*workload);
 
     // --- Griffin: DFTM + CPMS + DPC + ACUD. -------------------------
     trace.beginProcess(name + "/griffin");
     auto workload2 = wl::makeWorkload(name, wcfg);
     sys::MultiGpuSystem griffin(sys::SystemConfig::griffinDefault());
+    griffin.engine().obs().trace = tracing;
     const auto grif = griffin.run(*workload2);
 
     std::cout << "baseline : " << base.cycles << " cycles, "
@@ -98,8 +102,7 @@ main(int argc, char **argv)
                   << "%)\n";
     }
 
-    if (!trace_file.empty()) {
-        trace.detach();
+    if (tracing) {
         std::ofstream os(trace_file);
         trace.writeJson(os);
         std::cout << "\nwrote trace: " << trace_file << " ("

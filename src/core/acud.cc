@@ -49,13 +49,13 @@ MigrationExecutor::executeBatch(const MigrationBatch &batch,
 
     // Span the whole episode: drain command -> quiesce -> shootdown ->
     // transfers -> completion notification.
-    if (obs::TraceSession::activeFor(obs::CatMigration)) {
+    if (_engine.obs().traceFor(obs::CatMigration)) {
         const Tick begin = _engine.now();
         const std::size_t npages = batch.moves.size();
         done = sim::boxed([this, begin, npages, source,
                            done = std::move(done)] {
             if (auto *tr =
-                    obs::TraceSession::activeFor(obs::CatMigration)) {
+                    _engine.obs().traceFor(obs::CatMigration)) {
                 tr->complete(obs::CatMigration, "executor",
                              "migration_batch", begin, _engine.now(),
                              obs::TraceArgs()
@@ -90,7 +90,7 @@ MigrationExecutor::executeBatch(const MigrationBatch &batch,
     // 2. Drain command travels to the source GPU.
     _network.send(cpuDeviceId, source, ic::MessageSizes::drainCommand,
                   [this, src_gpu, pages, state, source]() mutable {
-        GHPROF_SCOPE("acud", "drain_command");
+        GHPROF_SCOPE(_engine.obs().prof, "acud", "drain_command");
         auto after_quiesce = [this, src_gpu, pages, state,
                               source]() mutable {
             const bool selective = _useAcud;
@@ -105,12 +105,11 @@ MigrationExecutor::executeBatch(const MigrationBatch &batch,
             Tick ack_penalty = 0;
             if (selective) {
                 src_gpu->shootdownPages(*pages);
-                if (obs::PageStats::active()) {
+                if (auto *ps = _engine.obs().pageStats) {
                     for (const PageId page : *pages) {
-                        obs::PageStats::recordActive(
-                            obs::PageEvent::Shootdown, page,
-                            src_gpu->id(), invalidDeviceId,
-                            _engine.now());
+                        ps->record(obs::PageEvent::Shootdown, page,
+                                   src_gpu->id(), invalidDeviceId,
+                                   _engine.now());
                     }
                 }
                 wb_done = src_gpu->flushCachesForPages(*pages);
@@ -131,7 +130,7 @@ MigrationExecutor::executeBatch(const MigrationBatch &batch,
                     }
                     if (ack_penalty > 0) {
                         _injector->noteRecoveryCycles(ack_penalty);
-                        if (auto *tr = obs::TraceSession::activeFor(
+                        if (auto *tr = _engine.obs().traceFor(
                                 obs::CatChaos)) {
                             tr->instant(obs::CatChaos, "executor",
                                         "shootdown_ack_lost",
@@ -151,7 +150,7 @@ MigrationExecutor::executeBatch(const MigrationBatch &batch,
             _engine.scheduleAt(resume_at,
                                [this, src_gpu, state,
                                 source]() mutable {
-                GHPROF_SCOPE("acud", "resume");
+                GHPROF_SCOPE(_engine.obs().prof, "acud", "resume");
                 // 5. Continue: execution restarts before the data
                 // moves (paper Figure 7).
                 src_gpu->resumeAllCus();
@@ -212,7 +211,7 @@ MigrationExecutor::transferPhase(DeviceId source,
         state->timer = _engine.scheduleTimeout(
             timeout,
             [this, source, state, timeout] {
-                GHPROF_SCOPE("acud", "batch_timeout");
+                GHPROF_SCOPE(_engine.obs().prof, "acud", "batch_timeout");
                 if (state->remaining == 0)
                     return;
                 // Abort every page still in flight: it stays at
@@ -232,16 +231,17 @@ MigrationExecutor::transferPhase(DeviceId source,
                     pi.migrationPending = false;
                     _injector->noteFallback();
                     _injector->noteMigrationTimeout();
-                    obs::PageStats::recordActive(
-                        obs::PageEvent::MigrationAbort, move.page,
-                        move.from, move.to, _engine.now());
-                    obs::PageStats::recordActive(
-                        obs::PageEvent::Recovery, move.page,
-                        move.from, move.to, _engine.now());
+                    if (auto *ps = _engine.obs().pageStats) {
+                        ps->record(obs::PageEvent::MigrationAbort,
+                                   move.page, move.from, move.to,
+                                   _engine.now());
+                        ps->record(obs::PageEvent::Recovery, move.page,
+                                   move.from, move.to, _engine.now());
+                    }
                     _iommu.onMigrationDone(move.page);
                 }
                 _injector->noteRecoveryCycles(timeout);
-                if (auto *tr = obs::TraceSession::activeFor(
+                if (auto *tr = _engine.obs().traceFor(
                         obs::CatChaos)) {
                     tr->instant(obs::CatChaos, "executor",
                                 "batch_timeout", _engine.now(),

@@ -9,8 +9,10 @@
 
 namespace griffin::core {
 
-Cpms::Cpms(unsigned max_pages_per_period, unsigned max_source_gpus)
-    : _maxPages(max_pages_per_period), _maxSources(max_source_gpus)
+Cpms::Cpms(unsigned max_pages_per_period, unsigned max_source_gpus,
+           const obs::Context *obs)
+    : _maxPages(max_pages_per_period), _maxSources(max_source_gpus),
+      _obs(obs)
 {
     assert(max_pages_per_period > 0 && max_source_gpus > 0);
 }
@@ -62,16 +64,16 @@ Cpms::schedule(const std::vector<MigrationCandidate> &candidates,
     pagesDeferred += candidates.size() - pages_total;
     batchesEmitted += batches.size();
 
-    if (obs::PageStats::active() && pages_total < candidates.size()) {
+    obs::PageStats *ps = _obs ? _obs->pageStats : nullptr;
+    if (ps && pages_total < candidates.size()) {
         std::unordered_set<PageId> scheduled;
         for (const auto &batch : batches)
             for (const auto &move : batch.moves)
                 scheduled.insert(move.page);
         for (const auto &cand : candidates) {
             if (!scheduled.count(cand.page)) {
-                obs::PageStats::recordActive(
-                    obs::PageEvent::MigrationDeferred, cand.page,
-                    cand.from, cand.to, now);
+                ps->record(obs::PageEvent::MigrationDeferred, cand.page,
+                           cand.from, cand.to, now);
             }
         }
     }

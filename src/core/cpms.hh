@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/core/dpc.hh"
+#include "src/obs/context.hh"
 #include "src/sim/types.hh"
 
 namespace griffin::core {
@@ -36,14 +37,17 @@ class Cpms
     /**
      * @param max_pages_per_period total pages migrated per phase.
      * @param max_source_gpus      GPUs drained per phase.
+     * @param obs the owning engine's telemetry context (deferred
+     *        candidates are recorded into its page stats), or null.
      */
-    Cpms(unsigned max_pages_per_period, unsigned max_source_gpus);
+    Cpms(unsigned max_pages_per_period, unsigned max_source_gpus,
+         const obs::Context *obs = nullptr);
 
     /**
      * Turn the (score-sorted) candidate list into per-source batches,
      * preferring the sources with the most candidate traffic.
      * @p now timestamps the candidates dropped by the per-phase caps
-     * (recorded as MigrationDeferred when page stats are attached).
+     * (recorded as MigrationDeferred when page stats are installed).
      */
     std::vector<MigrationBatch>
     schedule(const std::vector<MigrationCandidate> &candidates,
@@ -59,6 +63,7 @@ class Cpms
   private:
     unsigned _maxPages;
     unsigned _maxSources;
+    const obs::Context *_obs;
 };
 
 } // namespace griffin::core

@@ -50,16 +50,20 @@ Dftm::decide(DeviceId requester, PageId page, mem::PageTable &pt,
         pi.touched = true;
         _lease[page] = Lease{now, now};
         ++firstTouchDenials;
-        obs::PageStats::recordActive(obs::PageEvent::FirstTouch, page,
-                                     cpuDeviceId, requester, now);
-        obs::PageStats::recordActive(obs::PageEvent::DftmDenial, page,
-                                     cpuDeviceId, requester, now);
+        if (auto *ps = _obs ? _obs->pageStats : nullptr) {
+            ps->record(obs::PageEvent::FirstTouch, page, cpuDeviceId,
+                       requester, now);
+            ps->record(obs::PageEvent::DftmDenial, page, cpuDeviceId,
+                       requester, now);
+        }
         return CpuAccessDecision{false};
     }
 
     ++firstTouchMigrations;
-    obs::PageStats::recordActive(obs::PageEvent::FirstTouch, page,
-                                 cpuDeviceId, requester, now);
+    if (auto *ps = _obs ? _obs->pageStats : nullptr) {
+        ps->record(obs::PageEvent::FirstTouch, page, cpuDeviceId,
+                   requester, now);
+    }
     return CpuAccessDecision{true};
 }
 

@@ -18,6 +18,7 @@
 #include <unordered_map>
 
 #include "src/core/migration_policy.hh"
+#include "src/obs/context.hh"
 #include "src/sim/types.hh"
 
 namespace griffin::core {
@@ -33,9 +34,12 @@ class Dftm
      *        the page for this long (the sweep ended).
      * @param cap_cycles hard ceiling on lease lifetime, so long-lived
      *        hot pages still leave the CPU link eventually.
+     * @param obs the owning engine's telemetry context (first touches
+     *        and denials are recorded into its page stats), or null.
      */
-    explicit Dftm(Tick gap_cycles = 16000, Tick cap_cycles = 64000)
-        : _gapCycles(gap_cycles), _capCycles(cap_cycles)
+    explicit Dftm(Tick gap_cycles = 16000, Tick cap_cycles = 64000,
+                  const obs::Context *obs = nullptr)
+        : _gapCycles(gap_cycles), _capCycles(cap_cycles), _obs(obs)
     {}
 
     /**
@@ -81,6 +85,7 @@ class Dftm
 
     Tick _gapCycles;
     Tick _capCycles;
+    const obs::Context *_obs;
     std::unordered_map<PageId, Lease> _lease;
 };
 

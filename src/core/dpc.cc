@@ -88,7 +88,7 @@ Dpc::endPeriod(const mem::PageTable &pt)
 
             if (int(cls) != st.lastClass) {
                 if (_clock) {
-                    if (auto *tr = obs::TraceSession::activeFor(
+                    if (auto *tr = _clock->obs().traceFor(
                             obs::CatPolicy)) {
                         tr->instant(obs::CatPolicy, "dpc",
                                     "class_change", _clock->now(),

@@ -11,8 +11,9 @@ FirstTouchPolicy::onCpuResidentAccess(DeviceId requester, PageId page,
 {
     pt.info(page).touched = true;
     ++firstTouchMigrations;
-    obs::PageStats::recordActiveNow(obs::PageEvent::FirstTouch, page,
-                                    cpuDeviceId, requester);
+    if (auto *ps = _obs ? _obs->pageStats : nullptr)
+        ps->recordNow(obs::PageEvent::FirstTouch, page, cpuDeviceId,
+                      requester);
     return CpuAccessDecision{true};
 }
 

@@ -12,6 +12,7 @@
 #include <cstdint>
 
 #include "src/core/migration_policy.hh"
+#include "src/obs/context.hh"
 
 namespace griffin::core {
 
@@ -21,6 +22,14 @@ namespace griffin::core {
 class FirstTouchPolicy : public MigrationPolicy
 {
   public:
+    /**
+     * @param obs the owning engine's telemetry context (first touches
+     *        are recorded into its page stats), or null.
+     */
+    explicit FirstTouchPolicy(const obs::Context *obs = nullptr)
+        : _obs(obs)
+    {}
+
     std::string name() const override { return "first-touch"; }
 
     CpuAccessDecision onCpuResidentAccess(DeviceId requester, PageId page,
@@ -28,6 +37,9 @@ class FirstTouchPolicy : public MigrationPolicy
 
     /** Migrations triggered (== faults raised by this policy). */
     std::uint64_t firstTouchMigrations = 0;
+
+  private:
+    const obs::Context *_obs;
 };
 
 } // namespace griffin::core

@@ -25,9 +25,10 @@ GriffinPolicy::GriffinPolicy(sim::Engine &engine, ic::Network &network,
                              const GriffinConfig &config)
     : _engine(engine), _network(network), _pageTable(pt), _iommu(iommu),
       _gpus(std::move(gpus)), _config(config),
-      _dftm(config.dftmLeaseGap, config.dftmLeaseCap),
+      _dftm(config.dftmLeaseGap, config.dftmLeaseCap, &engine.obs()),
       _dpc(unsigned(_gpus.size()), config, &engine),
-      _cpms(config.maxPagesPerPeriod, config.maxSourceGpusPerPeriod),
+      _cpms(config.maxPagesPerPeriod, config.maxSourceGpusPerPeriod,
+            &engine.obs()),
       _executor(engine, network, pt, iommu, _gpus, std::move(pmcs),
                 config.useAcud)
 {
@@ -40,9 +41,10 @@ GriffinPolicy::onCpuResidentAccess(DeviceId requester, PageId page,
     if (!_config.enableDftm) {
         // DFTM ablated: plain first-touch demand paging.
         pt.info(page).touched = true;
-        obs::PageStats::recordActive(obs::PageEvent::FirstTouch, page,
-                                     cpuDeviceId, requester,
-                                     _engine.now());
+        if (auto *ps = _engine.obs().pageStats) {
+            ps->record(obs::PageEvent::FirstTouch, page, cpuDeviceId,
+                       requester, _engine.now());
+        }
         return CpuAccessDecision{true};
     }
     const auto decision =
@@ -82,7 +84,7 @@ void
 GriffinPolicy::schedulePeriod()
 {
     _engine.schedule(_config.tAc, [this] {
-        GHPROF_SCOPE("policy", "period");
+        GHPROF_SCOPE(_engine.obs().prof, "policy", "period");
         if (!_running)
             return;
         runPeriod();
@@ -94,7 +96,7 @@ void
 GriffinPolicy::runPeriod()
 {
     ++periodsRun;
-    if (auto *tr = obs::TraceSession::activeFor(obs::CatPolicy)) {
+    if (auto *tr = _engine.obs().traceFor(obs::CatPolicy)) {
         tr->instant(obs::CatPolicy, kTrack, "collect_period",
                     _engine.now(),
                     obs::TraceArgs().add("period", periodsRun));
@@ -117,13 +119,13 @@ GriffinPolicy::runPeriod()
         _network.send(cpuDeviceId, g->id(),
                       ic::MessageSizes::accessCountRequest,
                       [this, g, outstanding] {
-            GHPROF_SCOPE("policy", "count_request");
+            GHPROF_SCOPE(_engine.obs().prof, "policy", "count_request");
             auto counts = std::make_shared<std::vector<gpu::PageCount>>(
                 g->collectAccessCounts());
             _network.send(g->id(), cpuDeviceId,
                           ic::MessageSizes::accessCountReply,
                           [this, g, counts, outstanding] {
-                GHPROF_SCOPE("policy", "count_reply");
+                GHPROF_SCOPE(_engine.obs().prof, "policy", "count_reply");
                 _dpc.addCounts(g->id(), *counts);
                 if (--*outstanding == 0)
                     onCountsCollected();
@@ -186,10 +188,10 @@ GriffinPolicy::onCountsCollected()
                     << " (" << batch.moves.size() << " pages)");
         _executor.executeBatch(batch, [this, remaining, phase_begin,
                                        num_batches, phase_pages] {
-            GHPROF_SCOPE("policy", "batch_done");
+            GHPROF_SCOPE(_engine.obs().prof, "policy", "batch_done");
             if (--*remaining == 0) {
                 _migrationInFlight = false;
-                if (auto *tr = obs::TraceSession::activeFor(
+                if (auto *tr = _engine.obs().traceFor(
                         obs::CatPolicy)) {
                     tr->complete(obs::CatPolicy, kTrack,
                                  "migration_phase", phase_begin,

@@ -32,7 +32,7 @@ void
 Driver::onPageFault(DeviceId requester, PageId page, FaultId fid)
 {
     ++faultsReceived;
-    if (auto *tr = obs::TraceSession::activeFor(obs::CatFault)) {
+    if (auto *tr = _engine.obs().traceFor(obs::CatFault)) {
         tr->instant(obs::CatFault, kTrack, "page_fault", _engine.now(),
                     obs::TraceArgs()
                         .add("gpu", requester)
@@ -69,7 +69,7 @@ Driver::maybeStartBatch()
     if (!_windowArmed) {
         _windowArmed = true;
         _engine.schedule(_config.faultBatchWindow, [this] {
-            GHPROF_SCOPE("driver", "batch_window");
+            GHPROF_SCOPE(_engine.obs().prof, "driver", "batch_window");
             _windowArmed = false;
             if (!_processing && !_queue.empty())
                 startBatch();
@@ -91,11 +91,10 @@ Driver::startBatch()
 
     ++batchesProcessed;
     ++cpuShootdowns;
-    obs::TimeSeries::countActive(obs::TimeSeries::Series::Shootdowns);
     GLOG(Trace, "driver: fault batch of " << batch.size() << " pages");
 
     const Tick now = _engine.now();
-    if (auto *tr = obs::TraceSession::activeFor(obs::CatFault)) {
+    if (auto *tr = _engine.obs().traceFor(obs::CatFault)) {
         // The CPMS batch window: first fault queued -> batch closed.
         tr->complete(obs::CatFault, kTrack, "cpms_batch_window",
                      batch.front().raisedAt, now,
@@ -106,21 +105,24 @@ Driver::startBatch()
                          _config.cpuFlushPenalty,
                      obs::TraceArgs().add("pages", batch.size()));
     }
-    if (auto *tr = obs::TraceSession::activeFor(obs::CatShootdown)) {
+    if (auto *tr = _engine.obs().traceFor(obs::CatShootdown)) {
         tr->instant(obs::CatShootdown, kTrack, "cpu_tlb_shootdown", now,
                     obs::TraceArgs().add("pages", batch.size()));
     }
 
     // The batch closing ends every member's batch-wait stage.
+    const obs::Context &ctx = _engine.obs();
     for (const Fault &fault : batch) {
-        obs::FaultSpans::markActive(fault.fid, obs::Stage::BatchWait, now);
+        if (ctx.spans)
+            ctx.spans->mark(fault.fid, obs::Stage::BatchWait, now);
         // The CPU flush covering this batch shoots down each member
         // page's translation before it migrates.
-        obs::PageStats::recordActive(obs::PageEvent::Shootdown,
-                                     fault.page, cpuDeviceId,
-                                     fault.requester, now);
+        if (ctx.pageStats) {
+            ctx.pageStats->record(obs::PageEvent::Shootdown, fault.page,
+                                  cpuDeviceId, fault.requester, now);
+        }
         if (fault.fid != invalidFaultId) {
-            if (auto *tr = obs::TraceSession::activeFor(obs::CatFault)) {
+            if (auto *tr = _engine.obs().traceFor(obs::CatFault)) {
                 tr->flow(obs::CatFault, kTrack, "fault", now, fault.fid,
                          obs::TraceSession::FlowPhase::Step);
             }
@@ -134,12 +136,13 @@ Driver::startBatch()
     // while the driver moves on.
     _engine.schedule(_config.faultServiceLatency + _config.cpuFlushPenalty,
                      [this, batch = std::move(batch)] {
-        GHPROF_SCOPE("driver", "service_batch");
+        GHPROF_SCOPE(_engine.obs().prof, "driver", "service_batch");
         for (const Fault &fault : batch) {
             // The serial service pass (interrupt + runlist + CPU
             // shootdown/flush) ends here for every batch member.
-            obs::FaultSpans::markActive(fault.fid, obs::Stage::Shootdown,
-                                        _engine.now());
+            if (auto *spans = _engine.obs().spans)
+                spans->mark(fault.fid, obs::Stage::Shootdown,
+                            _engine.now());
             // Shared between the DMA completion and the migration
             // timeout: exactly one of the two commits the outcome.
             struct XferState
@@ -167,12 +170,7 @@ Driver::startBatch()
                     _pageTable.setLocation(fault.page, fault.requester);
                     if (_config.pinAfterMigration)
                         _pageTable.info(fault.page).pinned = true;
-                    if (auto *m = obs::Metrics::active()) {
-                        m->latency.faultLatency.sample(
-                            double(_engine.now() - fault.raisedAt));
-                    }
-                    obs::TimeSeries::faultActive(
-                        double(_engine.now() - fault.raisedAt));
+                    noteFaultServiced(fault);
                     _iommu.onMigrationDone(fault.page);
                 },
                 fault.fid);
@@ -180,7 +178,8 @@ Driver::startBatch()
                 !state->completed) {
                 state->timer = _engine.scheduleTimeout(
                     _config.migrationTimeout, [this, fault, state] {
-                        GHPROF_SCOPE("driver", "migration_timeout");
+                        GHPROF_SCOPE(_engine.obs().prof, "driver",
+                                     "migration_timeout");
                         if (state->completed)
                             return;
                         // Abort: unpin, unblock, and degrade the page
@@ -197,23 +196,18 @@ Driver::startBatch()
                         pi.migrating = false;
                         pi.pinned = false;
                         pi.dcaFallback = true;
-                        const Tick abort_at = _engine.now();
-                        obs::PageStats::recordActive(
-                            obs::PageEvent::MigrationAbort, fault.page,
-                            cpuDeviceId, fault.requester, abort_at);
-                        obs::PageStats::recordActive(
-                            obs::PageEvent::DcaFallback, fault.page,
-                            cpuDeviceId, fault.requester, abort_at);
-                        obs::PageStats::recordActive(
-                            obs::PageEvent::Recovery, fault.page,
-                            cpuDeviceId, fault.requester, abort_at);
-                        if (auto *m = obs::Metrics::active()) {
-                            m->latency.faultLatency.sample(
-                                double(_engine.now() - fault.raisedAt));
+                        if (auto *ps = _engine.obs().pageStats) {
+                            const Tick abort_at = _engine.now();
+                            for (const obs::PageEvent ev :
+                                 {obs::PageEvent::MigrationAbort,
+                                  obs::PageEvent::DcaFallback,
+                                  obs::PageEvent::Recovery}) {
+                                ps->record(ev, fault.page, cpuDeviceId,
+                                           fault.requester, abort_at);
+                            }
                         }
-                        obs::TimeSeries::faultActive(
-                            double(_engine.now() - fault.raisedAt));
-                        if (auto *tr = obs::TraceSession::activeFor(
+                        noteFaultServiced(fault);
+                        if (auto *tr = _engine.obs().traceFor(
                                 obs::CatChaos)) {
                             tr->instant(obs::CatChaos, kTrack,
                                         "migration_timeout",
@@ -230,6 +224,17 @@ Driver::startBatch()
         _processing = false;
         maybeStartBatch();
     });
+}
+
+void
+Driver::noteFaultServiced(const Fault &fault)
+{
+    const double latency = double(_engine.now() - fault.raisedAt);
+    const obs::Context &ctx = _engine.obs();
+    if (ctx.metrics)
+        ctx.metrics->latency.faultLatency.sample(latency);
+    if (ctx.timeseries)
+        ctx.timeseries->fault(latency);
 }
 
 } // namespace griffin::driver

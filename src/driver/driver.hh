@@ -126,6 +126,8 @@ class Driver : public xlat::FaultHandler
 
     void maybeStartBatch();
     void startBatch();
+    /** Record a fault's service latency (landed or aborted). */
+    void noteFaultServiced(const Fault &fault);
 };
 
 } // namespace griffin::driver

@@ -32,7 +32,7 @@ ComputeUnit::startWorkgroup(wl::Workgroup wg, sim::EventFn on_done)
     if (_wg.wavefronts.empty()) {
         // Degenerate but legal: an empty workgroup retires at once.
         _engine.schedule(_config.issueLatency, [this] {
-            GHPROF_SCOPE("cu", "retire");
+            GHPROF_SCOPE(_engine.obs().prof, "cu", "retire");
             ++workgroupsRetired;
             _wgActive = false;
             auto done = std::move(_wgDone);
@@ -57,7 +57,7 @@ ComputeUnit::startWorkgroup(wl::Workgroup wg, sim::EventFn on_done)
 void
 ComputeUnit::tryIssue(std::size_t wf_index)
 {
-    GHPROF_SCOPE("cu", "issue");
+    GHPROF_SCOPE(_engine.obs().prof, "cu", "issue");
     WfState &wf = _wfStates[wf_index];
     if (wf.finished || wf.inFlight)
         return;
@@ -92,7 +92,7 @@ ComputeUnit::issueOp(std::size_t wf_index)
 void
 ComputeUnit::opDone(std::uint32_t wf_index, std::uint64_t seq)
 {
-    GHPROF_SCOPE("cu", "op_done");
+    GHPROF_SCOPE(_engine.obs().prof, "cu", "op_done");
     if (wf_index >= _wfStates.size())
         return; // stale: issued by an earlier, wider workgroup
     WfState &wf = _wfStates[wf_index];

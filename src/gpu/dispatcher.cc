@@ -32,8 +32,9 @@ Dispatcher::launchKernel(wl::KernelLaunch kernel, sim::EventFn on_done)
         auto done = std::move(_kernelDone);
         _kernelDone = nullptr;
         _engine.schedule(_dispatchLatency,
-                         sim::boxed([fn = std::move(done)] {
-                             GHPROF_SCOPE("dispatcher", "kernel_done");
+                         sim::boxed([this, fn = std::move(done)] {
+                             GHPROF_SCOPE(_engine.obs().prof, "dispatcher",
+                                          "kernel_done");
                              fn();
                          }));
         return;
@@ -51,7 +52,7 @@ Dispatcher::scheduleDeal()
         return;
     _dealScheduled = true;
     _engine.schedule(_dispatchLatency, [this] {
-        GHPROF_SCOPE("dispatcher", "deal");
+        GHPROF_SCOPE(_engine.obs().prof, "dispatcher", "deal");
         _dealScheduled = false;
         dealOne();
     });

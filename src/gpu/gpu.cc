@@ -7,7 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "src/obs/timeseries.hh"
 #include "src/obs/trace.hh"
 #include "src/sim/log.hh"
 
@@ -160,7 +159,7 @@ Gpu::cuAccess(ComputeUnit &cu, std::uint32_t wf, std::uint64_t seq,
 void
 Gpu::l1TlbLookup(MemAccess &r)
 {
-    GHPROF_SCOPE("gpu", "l1_tlb");
+    GHPROF_SCOPE(_engine.obs().prof, "gpu", "l1_tlb");
     if (auto loc = _l1Tlbs[r.cuId].lookup(r.page)) {
         haveTranslation(*loc, r);
         return;
@@ -171,7 +170,7 @@ Gpu::l1TlbLookup(MemAccess &r)
 void
 Gpu::l2TlbLookup(MemAccess &r)
 {
-    GHPROF_SCOPE("gpu", "l2_tlb");
+    GHPROF_SCOPE(_engine.obs().prof, "gpu", "l2_tlb");
     if (auto loc = _l2Tlb.lookup(r.page)) {
         _l1Tlbs[r.cuId].fill(r.page, *loc);
         haveTranslation(*loc, r);
@@ -183,7 +182,7 @@ Gpu::l2TlbLookup(MemAccess &r)
     r.origin = _engine.now();
     _network.send(_id, cpuDeviceId, ic::MessageSizes::xlatRequest,
                   [this, p = &r] {
-        GHPROF_SCOPE("gpu", "xlat_request");
+        GHPROF_SCOPE(_engine.obs().prof, "gpu", "xlat_request");
         _iommu.request(*p);
     });
 }
@@ -191,7 +190,7 @@ Gpu::l2TlbLookup(MemAccess &r)
 void
 Gpu::onXlatReply(xlat::XlatRequest &req)
 {
-    GHPROF_SCOPE("gpu", "xlat_reply");
+    GHPROF_SCOPE(_engine.obs().prof, "gpu", "xlat_reply");
     // Every request this GPU sends is the translation half of one of
     // its access records.
     MemAccess &r = static_cast<MemAccess &>(req);
@@ -218,8 +217,6 @@ Gpu::haveTranslation(DeviceId location, MemAccess &r)
                          [this, p = &r] { l1CacheAccess(*p); });
     } else {
         ++remoteAccesses;
-        obs::TimeSeries::countActive(
-            obs::TimeSeries::Series::DcaAccesses);
         _router.remoteAccess(r);
     }
 }
@@ -227,13 +224,13 @@ Gpu::haveTranslation(DeviceId location, MemAccess &r)
 void
 Gpu::l1CacheAccess(MemAccess &r)
 {
-    GHPROF_SCOPE("gpu", "l1_cache");
+    GHPROF_SCOPE(_engine.obs().prof, "gpu", "l1_cache");
     const auto r1 = _l1s[r.cuId].access(r.vaddr, r.isWrite);
     if (r1.writeback) {
         // Dirty L1 victim drains into the L2 asynchronously.
         const Addr wb = r1.writebackAddr;
         _engine.schedule(_config.xbarLatency, [this, wb] {
-            GHPROF_SCOPE("gpu", "l2_writeback");
+            GHPROF_SCOPE(_engine.obs().prof, "gpu", "l2_writeback");
             const auto r = _l2.access(wb, true);
             if (r.writeback)
                 _dram.access(_engine.now(), r.writebackAddr,
@@ -252,7 +249,7 @@ Gpu::l1CacheAccess(MemAccess &r)
 void
 Gpu::l2CacheAccess(MemAccess &r)
 {
-    GHPROF_SCOPE("gpu", "l2_cache");
+    GHPROF_SCOPE(_engine.obs().prof, "gpu", "l2_cache");
     const auto r2 = _l2.access(r.vaddr, r.isWrite);
     if (r2.writeback)
         _dram.access(_engine.now(), r2.writebackAddr, _config.lineBytes,
@@ -338,11 +335,11 @@ Gpu::drainForPages(std::shared_ptr<const std::vector<PageId>> pages,
     ++drains;
     _pausedSince = _engine.now();
 
-    if (obs::TraceSession::activeFor(obs::CatDrain)) {
+    if (_engine.obs().traceFor(obs::CatDrain)) {
         const Tick begin = _engine.now();
         const std::size_t npages = pages->size();
         done = sim::boxed([this, begin, npages, done = std::move(done)] {
-            if (auto *tr = obs::TraceSession::activeFor(obs::CatDrain)) {
+            if (auto *tr = _engine.obs().traceFor(obs::CatDrain)) {
                 tr->complete(obs::CatDrain, "gpu" + std::to_string(_id),
                              "acud_drain", begin, _engine.now(),
                              obs::TraceArgs().add("pages", npages));
@@ -361,7 +358,7 @@ Gpu::drainForPages(std::shared_ptr<const std::vector<PageId>> pages,
     _drainSet = std::move(pages);
     _engine.schedule(_config.drainCheckLatency,
                      sim::boxed([this, done = std::move(done)]() mutable {
-        GHPROF_SCOPE("gpu", "drain_check");
+        GHPROF_SCOPE(_engine.obs().prof, "gpu", "drain_check");
         if (drainSatisfied()) {
             ++drainsImmediate;
             _drainSet.reset();
@@ -389,7 +386,6 @@ Gpu::flushForMigration(sim::EventFn done)
         entries += tlb.invalidateAll();
     entries += _l2Tlb.invalidateAll();
     ++tlbShootdownEvents;
-    obs::TimeSeries::countActive(obs::TimeSeries::Series::Shootdowns);
     tlbEntriesShotDown += entries;
 
     // Flush both cache levels; dirty lines drain into local DRAM.
@@ -410,7 +406,7 @@ Gpu::flushForMigration(sim::EventFn done)
 
     const Tick delay = (last_wb - _engine.now()) +
                        _config.flushRecoveryLatency;
-    if (auto *tr = obs::TraceSession::activeFor(obs::CatDrain)) {
+    if (auto *tr = _engine.obs().traceFor(obs::CatDrain)) {
         tr->complete(obs::CatDrain, "gpu" + std::to_string(_id),
                      "full_flush", _engine.now(), _engine.now() + delay,
                      obs::TraceArgs().add("entries", entries));
@@ -422,7 +418,7 @@ void
 Gpu::resumeAllCus()
 {
     pausedCycles += _engine.now() - _pausedSince;
-    if (auto *tr = obs::TraceSession::activeFor(obs::CatDrain)) {
+    if (auto *tr = _engine.obs().traceFor(obs::CatDrain)) {
         tr->complete(obs::CatDrain, "gpu" + std::to_string(_id), "paused",
                      _pausedSince, _engine.now(), obs::TraceArgs());
     }
@@ -437,7 +433,6 @@ Gpu::shootdownPages(const std::vector<PageId> &pages)
 {
     assert(std::is_sorted(pages.begin(), pages.end()));
     ++tlbShootdownEvents;
-    obs::TimeSeries::countActive(obs::TimeSeries::Series::Shootdowns);
     std::uint64_t entries = 0;
     for (const PageId page : pages) {
         for (auto &tlb : _l1Tlbs)
@@ -447,7 +442,7 @@ Gpu::shootdownPages(const std::vector<PageId> &pages)
     tlbEntriesShotDown += entries;
     GLOG(Trace, "gpu " << _id << ": shootdown of " << pages.size()
                        << " pages, " << entries << " entries");
-    if (auto *tr = obs::TraceSession::activeFor(obs::CatShootdown)) {
+    if (auto *tr = _engine.obs().traceFor(obs::CatShootdown)) {
         tr->instant(obs::CatShootdown, "gpu" + std::to_string(_id),
                     "tlb_shootdown", _engine.now(),
                     obs::TraceArgs()

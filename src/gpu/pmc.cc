@@ -32,8 +32,9 @@ Pmc::transferPage(PageId page, DeviceId dst, sim::EventFn done, FaultId fid)
     // Every migration attempt enters here, queued or not, so this is
     // the page's migration_start event (commit happens at
     // PageTable::setLocation, abort at the arming side's timeout).
-    obs::PageStats::recordActive(obs::PageEvent::MigrationStart, page,
-                                 _self, dst, _engine.now());
+    if (auto *ps = _engine.obs().pageStats)
+        ps->record(obs::PageEvent::MigrationStart, page, _self, dst,
+                   _engine.now());
 
     if (_maxConcurrent != 0 && _inflight >= _maxConcurrent) {
         ++transfersDeferred;
@@ -52,10 +53,10 @@ Pmc::startTransfer(PageId page, DeviceId dst, sim::EventFn done, FaultId fid)
 
     // The DMA stream starts now: end of the fault's transfer_queue
     // stage (zero-length when the PMC is unbounded or uncontended).
-    obs::FaultSpans::markActive(fid, obs::Stage::TransferQueue,
-                                _engine.now());
+    if (auto *spans = _engine.obs().spans)
+        spans->mark(fid, obs::Stage::TransferQueue, _engine.now());
     if (fid != invalidFaultId) {
-        if (auto *tr = obs::TraceSession::activeFor(obs::CatFault)) {
+        if (auto *tr = _engine.obs().traceFor(obs::CatFault)) {
             tr->flow(obs::CatFault, "pmc" + std::to_string(_self), "fault",
                      _engine.now(), fid,
                      obs::TraceSession::FlowPhase::Step);
@@ -97,14 +98,14 @@ Pmc::runAttempt(XferPtr xf)
     // into the destination DRAM. An injected failure strikes at
     // stream arrival, before the destination write.
     _engine.scheduleAt(read_done, [this, x = std::move(xf)]() mutable {
-        GHPROF_SCOPE("pmc", "read_done");
+        GHPROF_SCOPE(_engine.obs().prof, "pmc", "read_done");
         // Hoist: the lambda argument moves x, and argument evaluation
         // order is unspecified, so x->dst must be read first.
         const DeviceId dst = x->dst;
         _network.send(
             _self, dst, _pageBytes + ic::MessageSizes::header,
             [this, x = std::move(x)]() mutable {
-                GHPROF_SCOPE("pmc", "stream_arrive");
+                GHPROF_SCOPE(_engine.obs().prof, "pmc", "stream_arrive");
                 if (_injector && _injector->failDmaTransfer()) {
                     ++transfersFailed;
                     const auto &cc = _injector->config();
@@ -115,10 +116,11 @@ Pmc::runAttempt(XferPtr xf)
                         // executor) is the recovery path.
                         ++transfersAbandoned;
                         _injector->noteDmaAbandoned();
-                        obs::PageStats::recordActive(
-                            obs::PageEvent::Recovery, x->page, _self,
-                            x->dst, _engine.now());
-                        if (auto *tr = obs::TraceSession::activeFor(
+                        if (auto *ps = _engine.obs().pageStats) {
+                            ps->record(obs::PageEvent::Recovery, x->page,
+                                       _self, x->dst, _engine.now());
+                        }
+                        if (auto *tr = _engine.obs().traceFor(
                                 obs::CatChaos)) {
                             tr->instant(obs::CatChaos,
                                         "pmc" + std::to_string(_self),
@@ -134,10 +136,11 @@ Pmc::runAttempt(XferPtr xf)
                                          << (x->attempt - 1);
                     _injector->noteRetry();
                     _injector->noteRecoveryCycles(backoff);
-                    obs::PageStats::recordActive(
-                        obs::PageEvent::Recovery, x->page, _self, x->dst,
-                        _engine.now());
-                    if (auto *tr = obs::TraceSession::activeFor(
+                    if (auto *ps = _engine.obs().pageStats) {
+                        ps->record(obs::PageEvent::Recovery, x->page,
+                                   _self, x->dst, _engine.now());
+                    }
+                    if (auto *tr = _engine.obs().traceFor(
                             obs::CatChaos)) {
                         tr->instant(obs::CatChaos,
                                     "pmc" + std::to_string(_self),
@@ -150,7 +153,8 @@ Pmc::runAttempt(XferPtr xf)
                     ++x->attempt;
                     _engine.schedule(
                         backoff, [this, x = std::move(x)]() mutable {
-                            GHPROF_SCOPE("chaos", "dma_retry");
+                            GHPROF_SCOPE(_engine.obs().prof, "chaos",
+                                         "dma_retry");
                             runAttempt(std::move(x));
                         });
                     return;
@@ -161,9 +165,10 @@ Pmc::runAttempt(XferPtr xf)
                     true);
                 _engine.scheduleAt(
                     write_done, [this, x = std::move(x)]() mutable {
-                        GHPROF_SCOPE("pmc", "write_commit");
+                        GHPROF_SCOPE(_engine.obs().prof, "pmc",
+                                     "write_commit");
                         const Tick end = _engine.now();
-                        if (auto *m = obs::Metrics::active()) {
+                        if (auto *m = _engine.obs().metrics) {
                             auto &hist =
                                 _self == cpuDeviceId
                                     ? m->latency.cpuMigrationLatency
@@ -171,7 +176,7 @@ Pmc::runAttempt(XferPtr xf)
                                           .interGpuMigrationLatency;
                             hist.sample(double(end - x->begin));
                         }
-                        if (auto *tr = obs::TraceSession::activeFor(
+                        if (auto *tr = _engine.obs().traceFor(
                                 obs::CatMigration)) {
                             tr->complete(obs::CatMigration,
                                          "pmc" + std::to_string(_self),
@@ -180,8 +185,8 @@ Pmc::runAttempt(XferPtr xf)
                                              .add("page", x->page)
                                              .add("dst", x->dst));
                         }
-                        obs::FaultSpans::markActive(
-                            x->fid, obs::Stage::Transfer, end);
+                        if (auto *spans = _engine.obs().spans)
+                            spans->mark(x->fid, obs::Stage::Transfer, end);
                         releaseSlot();
                         x->done();
                     });

@@ -47,9 +47,9 @@ Rdma::serve(MemAccess &r)
 
     // Per-line DCA service spans. CatDca is off by default — remote
     // traffic is per-cache-line and would dominate the trace.
-    if (obs::TraceSession::activeFor(obs::CatDca)) {
+    if (_engine.obs().traceFor(obs::CatDca)) {
         _engine.scheduleAt(ready, [this, p = &r, begin = _engine.now()] {
-            if (auto *tr = obs::TraceSession::activeFor(obs::CatDca)) {
+            if (auto *tr = _engine.obs().traceFor(obs::CatDca)) {
                 tr->complete(obs::CatDca, "rdma" + std::to_string(_self),
                              p->isWrite ? "dca_write" : "dca_read", begin,
                              _engine.now(),
@@ -67,7 +67,7 @@ Rdma::serve(MemAccess &r)
 void
 Rdma::finish(MemAccess &r)
 {
-    GHPROF_SCOPE("rdma", "dca_finish");
+    GHPROF_SCOPE(_engine.obs().prof, "rdma", "dca_finish");
     if (_gpu)
         _gpu->leaveDataPhase(r.page);
     const std::uint64_t reply_bytes = r.isWrite

@@ -41,7 +41,7 @@ Network::send(DeviceId src, DeviceId dst, std::uint64_t bytes,
             const auto &cc = _injector->config();
             _links[src].degrade(now + cc.linkDegradeDuration,
                                 cc.linkDegradeFactor);
-            if (auto *tr = obs::TraceSession::activeFor(obs::CatChaos)) {
+            if (auto *tr = _engine.obs().traceFor(obs::CatChaos)) {
                 tr->instant(obs::CatChaos,
                             "link" + std::to_string(src), "degrade",
                             now,
@@ -68,7 +68,7 @@ Network::send(DeviceId src, DeviceId dst, std::uint64_t bytes,
                                          dirUp, bytes);
         }
         _injector->noteRecoveryCycles(at_switch - first_at);
-        if (auto *tr = obs::TraceSession::activeFor(obs::CatChaos)) {
+        if (auto *tr = _engine.obs().traceFor(obs::CatChaos)) {
             tr->instant(obs::CatChaos, "link" + std::to_string(src),
                         "nack", now,
                         obs::TraceArgs()
@@ -87,7 +87,7 @@ Network::send(DeviceId src, DeviceId dst, std::uint64_t bytes,
 
     // Per-message wire-occupancy spans. CatNet is off by default — a
     // busy run emits millions of messages.
-    if (auto *tr = obs::TraceSession::activeFor(obs::CatNet)) {
+    if (auto *tr = _engine.obs().traceFor(obs::CatNet)) {
         const obs::TraceArgs args = obs::TraceArgs()
                                         .add("bytes", bytes)
                                         .add("src", src)

@@ -3,14 +3,14 @@
 #include <cassert>
 
 #include "src/obs/pagestats.hh"
-#include "src/obs/timeseries.hh"
 
 namespace griffin::mem {
 
 const PageInfo PageTable::_defaultInfo{};
 
-PageTable::PageTable(unsigned page_shift, unsigned num_devices)
-    : _pageShift(page_shift), _resident(num_devices, 0)
+PageTable::PageTable(unsigned page_shift, unsigned num_devices,
+                     const obs::Context *obs)
+    : _pageShift(page_shift), _resident(num_devices, 0), _obs(obs)
 {
     assert(page_shift >= 6 && page_shift <= 21);
     assert(num_devices >= 2);
@@ -42,13 +42,11 @@ PageTable::setLocation(PageId page, DeviceId dst)
         --_resident[pi.location];
         ++_resident[dst];
         ++_migrations;
-        // The single commit point of every migration: the telemetry
-        // recorded here is what reconciles the per-interval migration
-        // counts with the pageTable.migrations aggregate.
-        obs::PageStats::recordActiveNow(obs::PageEvent::MigrationCommit,
-                                        page, pi.location, dst);
-        obs::TimeSeries::countActive(
-            obs::TimeSeries::Series::Migrations);
+        // The single commit point of every migration: page stats
+        // record it next to the pageTable.migrations aggregate.
+        if (auto *ps = _obs ? _obs->pageStats : nullptr)
+            ps->recordNow(obs::PageEvent::MigrationCommit, page,
+                          pi.location, dst);
     }
     pi.location = dst;
     pi.migrating = false;

@@ -16,6 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/obs/context.hh"
 #include "src/sim/types.hh"
 
 namespace griffin::mem {
@@ -71,8 +72,11 @@ class PageTable
     /**
      * @param page_shift  log2 of the page size (12 -> 4 KB).
      * @param num_devices device count including the CPU (device 0).
+     * @param obs the owning engine's telemetry context (every commit
+     *        is recorded into its page stats), or null.
      */
-    explicit PageTable(unsigned page_shift = 12, unsigned num_devices = 5);
+    explicit PageTable(unsigned page_shift = 12, unsigned num_devices = 5,
+                       const obs::Context *obs = nullptr);
 
     unsigned pageShift() const { return _pageShift; }
     std::uint64_t pageBytes() const { return std::uint64_t(1) << _pageShift; }
@@ -133,6 +137,7 @@ class PageTable
     std::unordered_map<PageId, PageInfo> _pages;
     std::vector<std::uint64_t> _resident;
     std::uint64_t _migrations = 0;
+    const obs::Context *_obs;
 
     static const PageInfo _defaultInfo;
 };

@@ -8,8 +8,9 @@
  *
  * Attribution model:
  *  - sim::EventQueue::runOne() brackets every dispatched event with
- *    beginDispatch()/endDispatch() when a profiler is attached; the
- *    sum of those brackets is the *measured dispatch wall time*.
+ *    beginDispatch()/endDispatch() when its engine's context holds a
+ *    profiler; the sum of those brackets is the *measured dispatch
+ *    wall time*.
  *  - Instrumented event bodies open RAII scopes (GHPROF_SCOPE) naming
  *    their component ("network", "iommu", "driver", "pmc", "gpu",
  *    "policy", "dispatcher", "chaos", "obs", ...) and event type.
@@ -26,9 +27,9 @@
  *
  * The telemetry-overhead meter is nothing special: the obs sinks
  * (TraceSession, Sampler, PageStats, TimeSeries) open "obs;..."
- * scopes inside their recording paths. Those paths only execute when
- * that telemetry is attached, so the obs share is structurally zero
- * when telemetry is off.
+ * scopes inside their recording paths, against the profiler of the
+ * same context. Those paths only execute when that telemetry is
+ * installed, so the obs share is structurally zero when it is off.
  *
  * Determinism contract: bucket *names and counts* are a pure function
  * of the simulated event sequence, so they are byte-identical across
@@ -36,9 +37,10 @@
  * reports keep them in a clearly-marked "host" subsection that
  * sys::compare treats as warn-only and excludes from drift.
  *
- * Same attach discipline as every other sink: a LIFO thread_local
- * pointer, null-checked guards, near-zero cost when off (a scope is
- * one thread_local load and a branch), one instance per concurrent
+ * Like every other sink, the profiler is reached through the engine's
+ * context (Context::prof), so it costs near nothing when off: a scope
+ * is one pointer load and a branch. MultiGpuSystem installs its
+ * profiler for the duration of run(), one instance per concurrent
  * sweep run.
  */
 
@@ -64,11 +66,11 @@ struct HostProfile
 {
     bool enabled = false;
 
-    /** Host wall time from attach to stopTimer(), in nanoseconds. */
+    /** Host wall time from startTimer() to stopTimer(), in ns. */
     std::uint64_t wallNs = 0;
     /** Sum of per-event dispatch brackets (the measured time). */
     std::uint64_t dispatchNs = 0;
-    /** Events dispatched while attached (deterministic). */
+    /** Events dispatched while installed (deterministic). */
     std::uint64_t events = 0;
 
     struct Bucket
@@ -130,8 +132,9 @@ struct HostProfile
 };
 
 /**
- * The attachable profiler. Owned by MultiGpuSystem (built only when
- * SystemConfig::hostProf), attached for the duration of run().
+ * The profiler. Owned by MultiGpuSystem (built only when
+ * SystemConfig::hostProf), installed in its engine's context for the
+ * duration of run().
  */
 class HostProfiler
 {
@@ -146,27 +149,22 @@ class HostProfiler
     };
 
   public:
-    HostProfiler();
-    ~HostProfiler();
+    HostProfiler() = default;
 
     HostProfiler(const HostProfiler &) = delete;
     HostProfiler &operator=(const HostProfiler &) = delete;
-
-    /** Attach/detach on the calling thread (LIFO, single-threaded). */
-    void attach();
-    void detach();
-
-    /** The calling thread's profiling instance, or nullptr. */
-    static HostProfiler *active() { return s_active; }
 
     /** @name Dispatch bracket (sim::EventQueue::runOne) @{ */
     void beginDispatch();
     void endDispatch();
     /** @} */
 
+    /** Start (or restart) the wall clock. */
+    void startTimer();
+
     /**
-     * Freeze the wall clock (attach -> now). Call once the run is
-     * over, before profile(); later calls keep the first reading.
+     * Freeze the wall clock (startTimer() -> now). Call once the run
+     * is over, before profile(); later calls keep the first reading.
      */
     void stopTimer();
 
@@ -179,9 +177,9 @@ class HostProfiler
     /** @} */
 
     /**
-     * One RAII attribution scope. Constructing is near-free when no
-     * profiler is attached (a thread_local load plus a branch), so
-     * instrumentation sites stay on the hot path unconditionally.
+     * One RAII attribution scope into @p prof. Constructing is
+     * near-free when @p prof is null (one branch), so instrumentation
+     * sites stay on the hot path unconditionally.
      * @p component and @p event must be string literals (or otherwise
      * outlive the profiler): buckets key on the pointers and resolve
      * to content only when the profile is built.
@@ -189,8 +187,8 @@ class HostProfiler
     class Scope
     {
       public:
-        Scope(const char *component, const char *event)
-            : _prof(s_active)
+        Scope(HostProfiler *prof, const char *component, const char *event)
+            : _prof(prof)
         {
             if (!_prof)
                 return;
@@ -269,22 +267,22 @@ class HostProfiler
     std::uint64_t _dispatchNs = 0;
     std::uint64_t _events = 0;
 
-    std::chrono::steady_clock::time_point _attachTime;
+    std::chrono::steady_clock::time_point _startTime;
     std::uint64_t _wallNs = 0;
+    bool _started = false;
     bool _stopped = false;
-
-    HostProfiler *_prevActive = nullptr;
-    bool _attached = false;
-
-    static thread_local HostProfiler *s_active;
 };
 
-/** Open an attribution scope for the rest of the enclosing block. */
+/**
+ * Open an attribution scope into profiler @p prof (may be null) for
+ * the rest of the enclosing block; components pass their engine's
+ * `_engine.obs().prof`.
+ */
 #define GHPROF_CONCAT2(a, b) a##b
 #define GHPROF_CONCAT(a, b) GHPROF_CONCAT2(a, b)
-#define GHPROF_SCOPE(component, event)                                 \
+#define GHPROF_SCOPE(prof, component, event)                           \
     ::griffin::obs::HostProfiler::Scope GHPROF_CONCAT(                 \
-        ghprofScope_, __LINE__)(component, event)
+        ghprofScope_, __LINE__)(prof, component, event)
 
 } // namespace griffin::obs
 

@@ -2,10 +2,10 @@
  * @file
  * Latency distributions collected during a run.
  *
- * MultiGpuSystem attaches a Metrics instance for the duration of every
- * run; components record into it through the same null-checked static
- * pointer pattern the trace sink uses, so standalone component tests
- * (no system, nothing attached) pay nothing. Histogram samples are a
+ * MultiGpuSystem installs its Metrics in its engine's context
+ * (obs/context.hh); components record into it through that nullable
+ * pointer, so standalone component tests (nothing installed) pay
+ * nothing. Histogram samples are a
  * handful of integer ops, which is why these stay on even when
  * tracing is off — they feed the p50/p95/p99 columns of the JSON run
  * report.
@@ -38,36 +38,10 @@ struct LatencyHistograms
     sim::Histogram remoteAccessLatency{100.0, 400};
 };
 
-/**
- * Attachable collection point: a thread_local pointer, LIFO
- * attach/detach like TraceSession. Each simulation is single-threaded,
- * but independent simulations may run on concurrent worker threads
- * (sys::SweepRunner), so every thread has its own active instance and
- * parallel runs never record into each other's histograms.
- */
-class Metrics
+/** The run-level latency sink (Context::metrics). */
+struct Metrics
 {
-  public:
-    Metrics() = default;
-    ~Metrics();
-
-    Metrics(const Metrics &) = delete;
-    Metrics &operator=(const Metrics &) = delete;
-
     LatencyHistograms latency;
-
-    /** Attach/detach on the calling thread (LIFO, single-threaded). */
-    void attach();
-    void detach();
-
-    /** The calling thread's collecting instance, or nullptr. */
-    static Metrics *active() { return s_active; }
-
-  private:
-    Metrics *_prevActive = nullptr;
-    bool _attached = false;
-
-    static thread_local Metrics *s_active;
 };
 
 } // namespace griffin::obs

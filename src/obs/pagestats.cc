@@ -3,13 +3,10 @@
 #include "src/obs/hostprof.hh"
 
 #include <algorithm>
-#include <cassert>
 
 #include "src/sim/engine.hh"
 
 namespace griffin::obs {
-
-thread_local PageStats *PageStats::s_active = nullptr;
 
 const char *
 pageEventName(PageEvent event)
@@ -37,32 +34,9 @@ pageEventName(PageEvent event)
     return "unknown";
 }
 
-PageStats::PageStats(PageStatsConfig config) : _config(config) {}
-
-PageStats::~PageStats()
+PageStats::PageStats(PageStatsConfig config, const sim::Engine *clock)
+    : _config(config), _clock(clock)
 {
-    // A still-attached sink at destruction would leave a dangling
-    // pointer in the thread_local chain.
-    assert(!_attached);
-}
-
-void
-PageStats::attach()
-{
-    assert(!_attached);
-    _attached = true;
-    _prevActive = s_active;
-    s_active = this;
-}
-
-void
-PageStats::detach()
-{
-    assert(_attached);
-    assert(s_active == this && "detach out of LIFO order");
-    s_active = _prevActive;
-    _prevActive = nullptr;
-    _attached = false;
 }
 
 PageStats::PageRec &
@@ -78,7 +52,8 @@ void
 PageStats::record(PageEvent event, PageId page, DeviceId from,
                   DeviceId to, Tick at)
 {
-    GHPROF_SCOPE("obs", "pagestats");
+    GHPROF_SCOPE(_clock ? _clock->obs().prof : nullptr, "obs",
+                 "pagestats");
     ++_events[unsigned(event)];
     PageRec &rec = pageOf(page, at);
     ++rec.events[unsigned(event)];

@@ -9,8 +9,8 @@
  * thrashed?". The instrumented components (driver, DFTM, CPMS, the
  * Griffin policy, the PMCs, the ACUD executor and the page table's
  * commit point) record lifecycle events against a PageId through the
- * same null-checked static pointer pattern the trace/metrics sinks
- * use; from the raw ledger the recorder derives per-page migration
+ * nullable Context::pageStats pointer of their engine's context; from
+ * the raw ledger the recorder derives per-page migration
  * counts, churn/ping-pong detection, inter-migration reuse distances,
  * residency timelines and top-N hot/thrashing page tables.
  *
@@ -22,16 +22,15 @@
  * keeps legitimate long-term rebalancing (a page coming home a whole
  * phase later) out of the thrash count.
  *
- * Cost model: nothing is recorded when no sink is attached on the
- * calling thread — every instrumentation site is a single pointer
- * null-check, so standalone component tests and `--page-stats`-off
- * bench runs pay nothing and their outputs stay bit-identical. When
- * on, each event is O(1) amortized (one hash-map lookup plus counter
- * bumps; a commit additionally scans the page's tiny device-history
- * list). Like Metrics/FaultSpans, the sink is a LIFO-attached
- * thread_local pointer, so concurrent sweep runs (sys::SweepRunner)
- * each record into their own instance and `--jobs=N` output merges
- * deterministically.
+ * Cost model: nothing is recorded when no sink is installed — every
+ * instrumentation site is a single pointer null-check, so standalone
+ * component tests and `--page-stats`-off bench runs pay nothing and
+ * their outputs stay bit-identical. When on, each event is O(1)
+ * amortized (one hash-map lookup plus counter bumps; a commit
+ * additionally scans the page's tiny device-history list). Each
+ * system owns its own instance, so concurrent sweep runs
+ * (sys::SweepRunner) never record into each other's and `--jobs=N`
+ * output merges deterministically.
  */
 
 #ifndef GRIFFIN_OBS_PAGESTATS_HH
@@ -170,59 +169,32 @@ struct PageStatsSummary
 };
 
 /**
- * The attachable recorder. Owned by MultiGpuSystem (built only when
- * PageStatsConfig::enabled), attached for the duration of run().
+ * The recorder. Owned by MultiGpuSystem (built only when
+ * PageStatsConfig::enabled) and installed in its engine's context.
  */
 class PageStats
 {
   public:
-    explicit PageStats(PageStatsConfig config = {});
-    ~PageStats();
+    /**
+     * @param clock the engine whose now() stamps recordNow() (for
+     *        sites with no engine of their own, like the page table's
+     *        commit point) and whose context's profiler meters
+     *        record(); recordNow() reads 0 and nothing is metered when
+     *        it is null.
+     */
+    explicit PageStats(PageStatsConfig config = {},
+                       const sim::Engine *clock = nullptr);
 
     PageStats(const PageStats &) = delete;
     PageStats &operator=(const PageStats &) = delete;
-
-    /** Attach/detach on the calling thread (LIFO, single-threaded). */
-    void attach();
-    void detach();
-
-    /** The calling thread's recording instance, or nullptr. */
-    static PageStats *active() { return s_active; }
-
-    /**
-     * Clock for instrumentation sites that have no engine of their
-     * own (the page table's commit point). Set by the owning system
-     * at attach time; recordNow() reads 0 when unset.
-     */
-    void setClock(const sim::Engine *engine) { _clock = engine; }
 
     /** Record one event at @p at. */
     void record(PageEvent event, PageId page, DeviceId from, DeviceId to,
                 Tick at);
 
-    /** record() stamped with the attached clock's current tick. */
+    /** record() stamped with the clock's current tick. */
     void recordNow(PageEvent event, PageId page, DeviceId from,
                    DeviceId to);
-
-    /** @name Static guards for instrumentation sites @{ */
-
-    static void
-    recordActive(PageEvent event, PageId page, DeviceId from,
-                 DeviceId to, Tick at)
-    {
-        if (s_active)
-            s_active->record(event, page, from, to, at);
-    }
-
-    static void
-    recordActiveNow(PageEvent event, PageId page, DeviceId from,
-                    DeviceId to)
-    {
-        if (s_active)
-            s_active->recordNow(event, page, from, to);
-    }
-
-    /** @} */
 
     /** @name Inspection (reports, tests) @{ */
 
@@ -268,17 +240,12 @@ class PageStats
                   Tick at);
 
     PageStatsConfig _config;
-    const sim::Engine *_clock = nullptr;
+    const sim::Engine *_clock;
 
     std::unordered_map<PageId, PageRec> _pages;
     std::array<std::uint64_t, numPageEvents> _events{};
     std::uint64_t _churnEvents = 0;
     sim::Histogram _reuseDistance{5000.0, 400};
-
-    PageStats *_prevActive = nullptr;
-    bool _attached = false;
-
-    static thread_local PageStats *s_active;
 };
 
 } // namespace griffin::obs

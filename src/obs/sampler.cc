@@ -52,7 +52,8 @@ Sampler::stop()
 void
 Sampler::sampleNow(Tick tick)
 {
-    GHPROF_SCOPE("obs", "sampler");
+    GHPROF_SCOPE(_engine ? _engine->obs().prof : nullptr, "obs",
+                 "sampler");
     Row row;
     row.tick = tick;
     row.values.reserve(_probes.size());

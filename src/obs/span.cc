@@ -5,8 +5,6 @@
 
 namespace griffin::obs {
 
-thread_local FaultSpans *FaultSpans::s_active = nullptr;
-
 const char *
 stageName(Stage stage)
 {
@@ -76,33 +74,6 @@ CriticalPath::share(Stage stage) const
 // FaultSpans
 // ---------------------------------------------------------------------
 
-FaultSpans::~FaultSpans()
-{
-    if (_attached)
-        detach();
-}
-
-void
-FaultSpans::attach()
-{
-    if (_attached)
-        return;
-    _prevActive = s_active;
-    s_active = this;
-    _attached = true;
-}
-
-void
-FaultSpans::detach()
-{
-    if (!_attached)
-        return;
-    if (s_active == this)
-        s_active = _prevActive;
-    _attached = false;
-    _prevActive = nullptr;
-}
-
 FaultId
 FaultSpans::beginFault(DeviceId gpu, PageId page, Tick origin)
 {
@@ -117,7 +88,7 @@ FaultSpans::beginFault(DeviceId gpu, PageId page, Tick origin)
 }
 
 void
-FaultSpans::mark(FaultId fid, Stage stage, Tick at)
+FaultSpans::markOpen(FaultId fid, Stage stage, Tick at)
 {
     auto it = _open.find(fid);
     if (it == _open.end())
@@ -136,12 +107,12 @@ FaultSpans::mark(FaultId fid, Stage stage, Tick at)
 }
 
 void
-FaultSpans::complete(FaultId fid, Tick at)
+FaultSpans::completeOpen(FaultId fid, Tick at)
 {
     auto it = _open.find(fid);
     if (it == _open.end())
         return;
-    mark(fid, Stage::Resume, at);
+    markOpen(fid, Stage::Resume, at);
     _criticalPath.addFault(it->second);
     _completed.push_back(std::move(it->second));
     _open.erase(it);

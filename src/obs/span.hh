@@ -7,7 +7,7 @@
  * N_PTW walkers, the walk itself, the policy decision, CPMS batching
  * delay, PMC queueing and streaming, the CPU shootdown/flush, and the
  * translation-replay resume). The instrumented components stamp stage
- * boundaries against a `FaultId`; the attachable `FaultSpans` sink
+ * boundaries against a `FaultId`; the `FaultSpans` sink
  * assembles one span tree per fault and feeds a `CriticalPath`
  * aggregator that the JSON run report serializes as `fault_breakdown`.
  *
@@ -16,10 +16,10 @@
  * A `FaultId` is allocated (and a record created) only when a fault
  * is actually raised, so the per-fault overhead is a handful of hash
  * map operations against a population of at most a few thousand
- * faults per run. Like `Metrics`, the sink is a LIFO-attached
- * thread_local pointer; nothing is recorded when none is attached on
- * the calling thread, and concurrent simulations on worker threads
- * (sys::SweepRunner) each record into their own sink.
+ * faults per run. Like `Metrics`, the sink is reached through the
+ * engine's context (Context::spans); nothing is recorded when none is
+ * installed, and concurrent simulations on worker threads
+ * (sys::SweepRunner) each record into their own system's sink.
  */
 
 #ifndef GRIFFIN_OBS_SPAN_HH
@@ -143,24 +143,16 @@ class CriticalPath
 };
 
 /**
- * The attachable span sink. Components call the static helpers, which
- * are no-ops unless a sink is attached *and* the fault id is valid.
+ * The span sink. Marks against an invalid fault id (a request that
+ * never faulted) are ignored without a lookup.
  */
 class FaultSpans
 {
   public:
     FaultSpans() = default;
-    ~FaultSpans();
 
     FaultSpans(const FaultSpans &) = delete;
     FaultSpans &operator=(const FaultSpans &) = delete;
-
-    /** Attach/detach on the calling thread (LIFO, single-threaded). */
-    void attach();
-    void detach();
-
-    /** The calling thread's collecting sink, or nullptr. */
-    static FaultSpans *active() { return s_active; }
 
     /**
      * A fault was raised: allocate its id and open its record.
@@ -174,32 +166,24 @@ class FaultSpans
      * previous boundary so coalesced walkers that joined a walk late
      * still yield monotone, non-negative durations.
      */
-    void mark(FaultId fid, Stage stage, Tick at);
+    void
+    mark(FaultId fid, Stage stage, Tick at)
+    {
+        if (fid != invalidFaultId)
+            markOpen(fid, stage, at);
+    }
 
     /**
      * The fault's reply reached the requester: final Resume mark,
      * record moves to the completed list and folds into the
      * critical-path aggregation.
      */
-    void complete(FaultId fid, Tick at);
-
-    /** @name Static guards for instrumentation sites @{ */
-
-    static void
-    markActive(FaultId fid, Stage stage, Tick at)
+    void
+    complete(FaultId fid, Tick at)
     {
-        if (fid != invalidFaultId && s_active)
-            s_active->mark(fid, stage, at);
+        if (fid != invalidFaultId)
+            completeOpen(fid, at);
     }
-
-    static void
-    completeActive(FaultId fid, Tick at)
-    {
-        if (fid != invalidFaultId && s_active)
-            s_active->complete(fid, at);
-    }
-
-    /** @} */
 
     /** @name Inspection (reports, tests) @{ */
 
@@ -224,10 +208,8 @@ class FaultSpans
     std::vector<FaultRecord> _completed;
     CriticalPath _criticalPath;
 
-    FaultSpans *_prevActive = nullptr;
-    bool _attached = false;
-
-    static thread_local FaultSpans *s_active;
+    void markOpen(FaultId fid, Stage stage, Tick at);
+    void completeOpen(FaultId fid, Tick at);
 };
 
 } // namespace griffin::obs

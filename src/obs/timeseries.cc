@@ -11,8 +11,6 @@
 
 namespace griffin::obs {
 
-thread_local TimeSeries *TimeSeries::s_active = nullptr;
-
 TimeSeries::TimeSeries(Tick tick) : _tick(tick)
 {
     assert(tick > 0);
@@ -20,27 +18,16 @@ TimeSeries::TimeSeries(Tick tick) : _tick(tick)
 
 TimeSeries::~TimeSeries()
 {
-    assert(!_attached);
     stop();
 }
 
 void
-TimeSeries::attach()
+TimeSeries::setCounterProbe(Series series,
+                            std::function<std::uint64_t()> cumulative)
 {
-    assert(!_attached);
-    _attached = true;
-    _prevActive = s_active;
-    s_active = this;
-}
-
-void
-TimeSeries::detach()
-{
-    assert(_attached);
-    assert(s_active == this && "detach out of LIFO order");
-    s_active = _prevActive;
-    _prevActive = nullptr;
-    _attached = false;
+    assert(!_engine && "set the probe before start()");
+    assert(series != Series::Faults && "faults are event-driven");
+    _counters[unsigned(series)] = std::move(cumulative);
 }
 
 void
@@ -60,6 +47,10 @@ TimeSeries::start(sim::Engine &engine)
     _intervalBegin = engine.now();
     if (_busyProbe)
         _prevBusy = _busyProbe();
+    for (unsigned s = 0; s < numSeries; ++s) {
+        if (_counters[s])
+            _prevCounts[s] = _counters[s]();
+    }
     _hookId = engine.addPeriodicHook(
         _tick, [this](Tick boundary) { flush(boundary); });
 }
@@ -74,8 +65,8 @@ TimeSeries::stop()
     // boundary would otherwise be dropped and the per-interval sums
     // would no longer reconcile with the run-level aggregates.
     const Tick now = _engine->now();
-    bool pending = now > _intervalBegin || !_faultLatencies.empty();
-    for (const std::uint64_t c : _counts)
+    bool pending = now > _intervalBegin;
+    for (const std::uint64_t c : pendingCounts())
         pending = pending || c > 0;
     if (pending)
         flush(now);
@@ -84,28 +75,33 @@ TimeSeries::stop()
 }
 
 void
-TimeSeries::count(Series series, std::uint64_t n)
-{
-    GHPROF_SCOPE("obs", "timeseries");
-    _counts[unsigned(series)] += n;
-}
-
-void
 TimeSeries::fault(double latency)
 {
-    GHPROF_SCOPE("obs", "timeseries");
-    ++_counts[unsigned(Series::Faults)];
+    GHPROF_SCOPE(_engine ? _engine->obs().prof : nullptr, "obs",
+                 "timeseries");
     _faultLatencies.push_back(latency);
+}
+
+std::array<std::uint64_t, TimeSeries::numSeries>
+TimeSeries::pendingCounts() const
+{
+    std::array<std::uint64_t, numSeries> counts{};
+    for (unsigned s = 0; s < numSeries; ++s) {
+        if (_counters[s])
+            counts[s] = _counters[s]() - _prevCounts[s];
+    }
+    counts[unsigned(Series::Faults)] = _faultLatencies.size();
+    return counts;
 }
 
 void
 TimeSeries::flush(Tick boundary)
 {
-    GHPROF_SCOPE("obs", "timeseries");
+    GHPROF_SCOPE(_engine->obs().prof, "obs", "timeseries");
     Row row;
     row.begin = _intervalBegin;
     row.end = boundary;
-    row.counts = _counts;
+    row.counts = pendingCounts();
 
     if (!_faultLatencies.empty()) {
         // Nearest-rank percentiles over the interval's own samples:
@@ -128,11 +124,12 @@ TimeSeries::flush(Tick boundary)
         _prevBusy = busy;
     }
 
-    for (unsigned s = 0; s < numSeries; ++s)
-        _totals[s] += _counts[s];
+    for (unsigned s = 0; s < numSeries; ++s) {
+        _totals[s] += row.counts[s];
+        _prevCounts[s] += row.counts[s];
+    }
 
     _rows.push_back(std::move(row));
-    _counts = {};
     _faultLatencies.clear();
     _intervalBegin = boundary;
 }

@@ -6,19 +6,19 @@
  *
  * The recorder rides sim::Engine's periodic-hook mechanism (like the
  * probe Sampler), so interval boundaries fire inside run() without
- * extending the simulated end time. Unlike the Sampler, the columns
- * here are event-driven: the instrumented counting sites are the
- * exact statements that bump the run-level aggregate counters, so the
- * per-interval sums reconcile with the run totals by construction
- * (sum of migrations rows == pageTable.migrations, shootdowns ==
- * cpuShootdowns + gpuShootdowns, dca_accesses == remoteAccesses,
- * faults == the faultLatency histogram count). The final partial
- * interval is flushed at stop(), so nothing after the last boundary
- * is dropped.
+ * extending the simulated end time. The migration, DCA and shootdown
+ * columns are per-interval deltas of the run-level aggregate counters
+ * (pageTable.migrations, remoteAccesses, cpuShootdowns +
+ * gpuShootdowns), read at each boundary through counter probes the
+ * owning system registers; their interval sums therefore equal the
+ * run totals by construction. Faults stay event-driven: the driver
+ * reports each serviced fault's latency through fault(), which also
+ * feeds the per-interval p50/p95. The final partial interval is
+ * flushed at stop(), so nothing after the last boundary is dropped.
  *
- * Same attach discipline as Metrics/PageStats: a LIFO thread_local
- * pointer, null-checked static guards, zero cost when nothing is
- * attached, one instance per concurrent sweep run.
+ * The system installs its recorder in its engine's context
+ * (Context::timeseries); nothing is recorded when none is installed,
+ * and concurrent sweep runs each own one.
  */
 
 #ifndef GRIFFIN_OBS_TIMESERIES_HH
@@ -38,20 +38,19 @@ class Engine;
 namespace griffin::obs {
 
 /**
- * The attachable interval recorder. Owned by MultiGpuSystem (built
- * only when SystemConfig::timeseriesTick > 0) and attached for the
- * duration of run().
+ * The interval recorder. Owned by MultiGpuSystem (built only when
+ * SystemConfig::timeseriesTick > 0) and started for run().
  */
 class TimeSeries
 {
   public:
-    /** The event-driven columns. */
+    /** The columns. */
     enum class Series : unsigned
     {
-        Migrations = 0, ///< page-table commits
-        DcaAccesses,    ///< GPU accesses served remotely
-        Shootdowns,     ///< CPU flushes + GPU shootdown events
-        Faults,         ///< serviced page faults
+        Migrations = 0, ///< page-table commits (counter probe)
+        DcaAccesses,    ///< GPU accesses served remotely (counter probe)
+        Shootdowns,     ///< CPU flushes + GPU shootdown events (probe)
+        Faults,         ///< serviced page faults (fault())
     };
 
     static constexpr unsigned numSeries = 4;
@@ -83,12 +82,13 @@ class TimeSeries
     TimeSeries(const TimeSeries &) = delete;
     TimeSeries &operator=(const TimeSeries &) = delete;
 
-    /** Attach/detach on the calling thread (LIFO, single-threaded). */
-    void attach();
-    void detach();
-
-    /** The calling thread's recording instance, or nullptr. */
-    static TimeSeries *active() { return s_active; }
+    /**
+     * Poll source for @p series (not Faults): returns the aggregate
+     * counter's *cumulative* value; each flush records the delta since
+     * the previous one. Set before start().
+     */
+    void setCounterProbe(Series series,
+                         std::function<std::uint64_t()> cumulative);
 
     /**
      * Poll source for link utilization: returns the *cumulative* busy
@@ -108,26 +108,10 @@ class TimeSeries
      */
     void stop();
 
-    /** @name Static guards for instrumentation sites @{ */
-
-    static void
-    countActive(Series series, std::uint64_t n = 1)
-    {
-        if (s_active)
-            s_active->count(series, n);
-    }
-
-    /** One serviced fault: bumps Faults and records its latency. */
-    static void
-    faultActive(double latency)
-    {
-        if (s_active)
-            s_active->fault(latency);
-    }
-
-    /** @} */
-
-    void count(Series series, std::uint64_t n = 1);
+    /**
+     * One serviced fault of latency @p latency: bumps Faults and
+     * feeds the interval's percentiles.
+     */
     void fault(double latency);
 
     /** @name Inspection (reports, tests) @{ */
@@ -154,8 +138,11 @@ class TimeSeries
 
     /** The accumulating open interval. */
     Tick _intervalBegin = 0;
-    std::array<std::uint64_t, numSeries> _counts{};
     std::vector<double> _faultLatencies;
+
+    /** Counter probes, and their readings at the last boundary. */
+    std::array<std::function<std::uint64_t()>, numSeries> _counters;
+    std::array<std::uint64_t, numSeries> _prevCounts{};
 
     std::function<double()> _busyProbe;
     unsigned _wires = 0;
@@ -164,10 +151,8 @@ class TimeSeries
     sim::Engine *_engine = nullptr;
     std::uint64_t _hookId = 0;
 
-    TimeSeries *_prevActive = nullptr;
-    bool _attached = false;
-
-    static thread_local TimeSeries *s_active;
+    /** The open interval's counts: probe deltas plus the faults. */
+    std::array<std::uint64_t, numSeries> pendingCounts() const;
 };
 
 } // namespace griffin::obs

@@ -1,7 +1,5 @@
 #include "src/obs/trace.hh"
 
-#include "src/obs/hostprof.hh"
-
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
@@ -13,8 +11,6 @@
 #include "src/obs/json.hh"
 
 namespace griffin::obs {
-
-thread_local TraceSession *TraceSession::s_active = nullptr;
 
 const char *
 categoryName(Category cat)
@@ -98,34 +94,6 @@ TraceSession::TraceSession(std::uint32_t categories)
     _processNames.push_back("sim");
 }
 
-TraceSession::~TraceSession()
-{
-    if (_attached)
-        detach();
-}
-
-void
-TraceSession::attach()
-{
-    if (_attached)
-        return;
-    _prevActive = s_active;
-    s_active = this;
-    _attached = true;
-}
-
-void
-TraceSession::detach()
-{
-    if (!_attached)
-        return;
-    // Sessions detach LIFO in practice; tolerate out-of-order anyway.
-    if (s_active == this)
-        s_active = _prevActive;
-    _attached = false;
-    _prevActive = nullptr;
-}
-
 void
 TraceSession::beginProcess(const std::string &name)
 {
@@ -151,7 +119,6 @@ TraceSession::instant(Category cat, const std::string &track,
                       const std::string &name, Tick ts,
                       const TraceArgs &args)
 {
-    GHPROF_SCOPE("obs", "trace");
     _events.push_back(Event{'i', _pid, trackId(track), ts, 0, 0.0, 0,
                             categoryName(cat), name, args.json()});
 }
@@ -161,7 +128,6 @@ TraceSession::complete(Category cat, const std::string &track,
                        const std::string &name, Tick begin, Tick end,
                        const TraceArgs &args)
 {
-    GHPROF_SCOPE("obs", "trace");
     assert(end >= begin);
     _events.push_back(Event{'X', _pid, trackId(track), begin, end - begin,
                             0.0, 0, categoryName(cat), name, args.json()});
@@ -171,7 +137,6 @@ void
 TraceSession::counter(Category cat, const std::string &track,
                       const std::string &series, Tick ts, double value)
 {
-    GHPROF_SCOPE("obs", "trace");
     _events.push_back(Event{'C', _pid, trackId(track), ts, 0, value, 0,
                             categoryName(cat), series, std::string()});
 }
@@ -184,7 +149,6 @@ TraceSession::flow(Category cat, const std::string &track,
     const char ph = phase == FlowPhase::Begin ? 's'
                   : phase == FlowPhase::Step  ? 't'
                                               : 'f';
-    GHPROF_SCOPE("obs", "trace");
     _events.push_back(Event{ph, _pid, trackId(track), ts, 0, 0.0, id,
                             categoryName(cat), name, std::string()});
 }

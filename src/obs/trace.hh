@@ -5,9 +5,10 @@
  * chrome://tracing.
  *
  * Design constraints:
- *  - zero overhead when no session is attached: every instrumentation
- *    point is guarded by `TraceSession::activeFor(cat)`, one static
- *    pointer load plus a category-mask test;
+ *  - zero overhead when no session is installed: every instrumentation
+ *    point is guarded by `Context::traceFor(cat)` on its engine's
+ *    context (obs/context.hh), one pointer load plus a category-mask
+ *    test;
  *  - the simulated cycle count is the timebase (1 cycle = 1 "us" in
  *    the viewer, since the model clock is 1 GHz the absolute numbers
  *    read as nanoseconds);
@@ -15,14 +16,12 @@
  *    pmcN, executor, dpc, linkN...), one trace "process" per run so a
  *    multi-run bench produces one navigable file.
  *
- * Each simulation is single-threaded, but independent simulations may
- * run concurrently on different OS threads (sys::SweepRunner). The
- * active-session pointer is therefore thread_local: a session records
- * only the events of the thread it was attached on, and parallel runs
- * each attach their own session. writeMerged() folds the per-run
- * sessions back into one document in a deterministic, submission-
- * ordered way, so a parallel sweep's trace file is byte-identical to
- * a serial one.
+ * A session is caller-owned and installed into a system's context
+ * (`system.engine().obs().trace = &session`); it records only what
+ * that engine simulates. Parallel runs (sys::SweepRunner) each install
+ * their own session, and writeMerged() folds the per-run sessions
+ * back into one document in a deterministic, submission-ordered way,
+ * so a parallel sweep's trace file is byte-identical to a serial one.
  */
 
 #ifndef GRIFFIN_OBS_TRACE_HH
@@ -67,7 +66,7 @@ const char *categoryName(Category cat);
 
 /**
  * Builder for an event's "args" object. Only ever constructed behind
- * an activeFor() guard, so argument formatting costs nothing when
+ * a Context::traceFor() guard, so argument formatting costs nothing when
  * tracing is off.
  */
 class TraceArgs
@@ -91,47 +90,17 @@ class TraceArgs
 };
 
 /**
- * One recording session. Components emit typed events into the active
- * session; writeJson() produces a Chrome trace-event document.
+ * One recording session. Components emit typed events into the session
+ * installed in their engine's context; writeJson() produces a Chrome
+ * trace-event document.
  */
 class TraceSession
 {
   public:
     explicit TraceSession(std::uint32_t categories = defaultCategories);
-    ~TraceSession();
 
     TraceSession(const TraceSession &) = delete;
     TraceSession &operator=(const TraceSession &) = delete;
-
-    /** @name Session attachment @{ */
-
-    /**
-     * Make this the active session *on the calling thread* (saves and
-     * restores any previous one, LIFO). A session must be attached,
-     * detached and recorded into on a single thread; naming processes
-     * before handing it to that thread is fine as long as the hand-off
-     * synchronizes (e.g. thread creation).
-     */
-    void attach();
-
-    /** Stop recording into this session. */
-    void detach();
-
-    /** The calling thread's active session, or nullptr. */
-    static TraceSession *active() { return s_active; }
-
-    /**
-     * The active session iff @p cat is enabled on it; the single
-     * guard every instrumentation point uses.
-     */
-    static TraceSession *
-    activeFor(Category cat)
-    {
-        TraceSession *t = s_active;
-        return (t && (t->_categories & cat)) ? t : nullptr;
-    }
-
-    /** @} */
 
     /**
      * Start a new trace "process": subsequent events group under
@@ -219,11 +188,6 @@ class TraceSession
     std::map<std::pair<std::uint32_t, std::string>, std::uint32_t> _tracks;
     std::vector<std::pair<std::uint32_t, std::string>> _trackNames;
     std::vector<Event> _events;
-
-    TraceSession *_prevActive = nullptr;
-    bool _attached = false;
-
-    static thread_local TraceSession *s_active;
 
     std::uint32_t trackId(const std::string &track);
     static void writeEvent(std::ostream &os, const Event &ev,

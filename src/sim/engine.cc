@@ -74,7 +74,7 @@ Engine::fireHooksUpTo(Tick limit)
         // Hooks fire between dispatches, so this scope is parentless:
         // its time lands in the profile's buckets but not dispatchNs
         // (hook-driven sinks open nested "obs;..." scopes below it).
-        GHPROF_SCOPE("sim", "periodic_hook");
+        GHPROF_SCOPE(obs().prof, "sim", "periodic_hook");
         earliest->fn(boundary);
     }
 }

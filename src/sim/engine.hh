@@ -100,6 +100,13 @@ class Engine
     /** Pending event count. */
     std::size_t pendingEvents() const { return _queue.size(); }
 
+    /**
+     * The run's telemetry context: one nullable pointer per sink,
+     * read by every instrumented component (obs/context.hh).
+     */
+    obs::Context &obs() { return _queue.obs(); }
+    const obs::Context &obs() const { return _queue.obs(); }
+
     /** The underlying queue, for tests that need fine-grained control. */
     EventQueue &queue() { return _queue; }
 

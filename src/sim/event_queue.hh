@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/obs/context.hh"
 #include "src/sim/inline_fn.hh"
 #include "src/sim/ref_queue.hh"
 #include "src/sim/types.hh"
@@ -138,6 +139,15 @@ class EventQueue
 
     /** Run until the queue drains. @return the final simulated time. */
     Tick run();
+
+    /**
+     * The telemetry context of everything this queue dispatches (see
+     * obs/context.hh). It lives here because runOne() reads its
+     * profiler on every dispatch; components reach it through
+     * sim::Engine::obs().
+     */
+    obs::Context &obs() { return _obs; }
+    const obs::Context &obs() const { return _obs; }
 
     /**
      * Run all events with time <= @p limit, then advance the clock to
@@ -248,6 +258,8 @@ class EventQueue
     /** Reference mode: one naive heap replaces all three tiers. */
     bool _refMode = false;
     RefQueue<Entry, Later> _ref;
+
+    obs::Context _obs;
 
     Tick _now = 0;
     /** Starts at 1 so seq 0 can mean "unset" in debugging dumps. */

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
@@ -24,7 +22,7 @@ RunResult::maxGpuShare() const
 
 MultiGpuSystem::MultiGpuSystem(const SystemConfig &config)
     : _config(config), _engine(config.maxTicks),
-      _pageTable(config.gpu.pageShift, config.numDevices()),
+      _pageTable(config.gpu.pageShift, config.numDevices(), &_engine.obs()),
       _cpuL2(config.cpuL2), _cpuDram(config.cpuDram)
 {
     assert(config.numGpus >= 1);
@@ -106,7 +104,7 @@ MultiGpuSystem::MultiGpuSystem(const SystemConfig &config)
         _griffinPolicy->executor().setFaultInjector(_injector.get());
         _policy = std::move(policy);
     } else {
-        _policy = std::make_unique<core::FirstTouchPolicy>();
+        _policy = std::make_unique<core::FirstTouchPolicy>(&_engine.obs());
     }
     _iommu->setPolicy(_policy.get());
 
@@ -144,15 +142,39 @@ MultiGpuSystem::MultiGpuSystem(const SystemConfig &config)
                         [this] { return _spans.openFaults(); });
     _engine.setWatchdog(_watchdog.get());
 
-    // Page-lifecycle and interval telemetry, built only on request so
-    // the default configuration records nothing and pays nothing.
+    // Install the sinks this system owns. Page-lifecycle and interval
+    // telemetry are built only on request, so the default
+    // configuration records nothing and pays nothing; the host
+    // profiler is installed by run().
+    obs::Context &ctx = _engine.obs();
+    ctx.metrics = &_metrics;
+    ctx.spans = &_spans;
     if (config.pageStats.enabled) {
-        _pageStats = std::make_unique<obs::PageStats>(config.pageStats);
-        _pageStats->setClock(&_engine);
+        _pageStats =
+            std::make_unique<obs::PageStats>(config.pageStats, &_engine);
+        ctx.pageStats = _pageStats.get();
     }
     if (config.timeseriesTick > 0) {
         _timeSeries =
             std::make_unique<obs::TimeSeries>(config.timeseriesTick);
+        // The event columns are per-interval deltas of the run-level
+        // aggregates that collectResults() reports.
+        using Series = obs::TimeSeries::Series;
+        _timeSeries->setCounterProbe(Series::Migrations, [this] {
+            return _pageTable.migrations();
+        });
+        _timeSeries->setCounterProbe(Series::DcaAccesses, [this] {
+            std::uint64_t n = 0;
+            for (const auto &g : _gpus)
+                n += g->remoteAccesses;
+            return n;
+        });
+        _timeSeries->setCounterProbe(Series::Shootdowns, [this] {
+            std::uint64_t n = _driver->cpuShootdowns;
+            for (const auto &g : _gpus)
+                n += g->tlbShootdownEvents;
+            return n;
+        });
         // Link utilization: cumulative busy cycles over every wire
         // (one up + one down per device); the recorder differences
         // them per interval into a mean busy fraction.
@@ -168,6 +190,7 @@ MultiGpuSystem::MultiGpuSystem(const SystemConfig &config)
                 return busy;
             },
             _config.numDevices() * 2);
+        ctx.timeseries = _timeSeries.get();
     }
     if (config.hostProf)
         _hostProf = std::make_unique<obs::HostProfiler>();
@@ -179,6 +202,8 @@ MultiGpuSystem::MultiGpuSystem(const SystemConfig &config)
 
 MultiGpuSystem::~MultiGpuSystem()
 {
+    // Nothing may record into the sinks while they are torn down.
+    _engine.obs() = obs::Context{};
     if (sim::Log::clock() == &_engine)
         sim::Log::setClock(_prevLogClock);
 }
@@ -198,7 +223,7 @@ MultiGpuSystem::remoteAccess(gpu::MemAccess &r)
 void
 MultiGpuSystem::serveRemote(gpu::MemAccess &r)
 {
-    GHPROF_SCOPE("rdma", "dca_serve");
+    GHPROF_SCOPE(_engine.obs().prof, "rdma", "dca_serve");
     if (r.owner == cpuDeviceId) {
         if (_griffinPolicy)
             _griffinPolicy->noteCpuDcaAccess(r.page);
@@ -214,7 +239,7 @@ MultiGpuSystem::serveRemote(gpu::MemAccess &r)
 void
 MultiGpuSystem::remoteReply(gpu::MemAccess &r)
 {
-    if (auto *m = obs::Metrics::active())
+    if (auto *m = _engine.obs().metrics)
         m->latency.remoteAccessLatency.sample(
             double(_engine.now() - r.dcaStart));
     _gpus[r.requester - 1]->accessDone(r);
@@ -285,89 +310,28 @@ MultiGpuSystem::run(wl::Workload &workload)
 {
     if (_ran) {
         // A second run would silently reuse page tables, TLBs and
-        // stats from the first — diagnose and fail instead of
-        // producing corrupt results.
-        GLOG(Error, "MultiGpuSystem::run() called twice");
-        std::fprintf(stderr,
-                     "griffin: a MultiGpuSystem instance runs exactly "
-                     "one workload; build a new system for each run\n");
-        std::exit(2);
+        // stats from the first: refuse instead of producing corrupt
+        // results.
+        throw std::logic_error(
+            "MultiGpuSystem::run() called twice: a system runs exactly "
+            "one workload; build a new system for each run");
     }
     _ran = true;
 
     GLOG(Info, "run: " << workload.name() << " under "
                        << _policy->name());
 
-    // Attach the host profiler before every other sink so its dispatch
-    // brackets cover the whole run — including time the other sinks
-    // spend recording. The guard detaches even if the watchdog throws.
-    struct HostProfGuard
-    {
-        obs::HostProfiler *h;
-        explicit HostProfGuard(obs::HostProfiler *hh) : h(hh)
-        {
-            if (h)
-                h->attach();
-        }
-        ~HostProfGuard()
-        {
-            if (h)
-                h->detach();
-        }
-    } hostprof_guard(_hostProf.get());
-
-    // Collect latency histograms for the run. The guard detaches even
-    // if the watchdog throws.
-    struct MetricsGuard
-    {
-        obs::Metrics &m;
-        explicit MetricsGuard(obs::Metrics &mm) : m(mm) { m.attach(); }
-        ~MetricsGuard() { m.detach(); }
-    } metrics_guard(_metrics);
-
-    // Per-fault causal spans, same lifetime discipline.
-    struct SpansGuard
-    {
-        obs::FaultSpans &s;
-        explicit SpansGuard(obs::FaultSpans &ss) : s(ss) { s.attach(); }
-        ~SpansGuard() { s.detach(); }
-    } spans_guard(_spans);
-
-    // Optional page-lifecycle and time-series recorders; the guards
-    // detach (and stop the boundary hook) on a watchdog throw too.
-    struct PageStatsGuard
-    {
-        obs::PageStats *p;
-        explicit PageStatsGuard(obs::PageStats *pp) : p(pp)
-        {
-            if (p)
-                p->attach();
-        }
-        ~PageStatsGuard()
-        {
-            if (p)
-                p->detach();
-        }
-    } pagestats_guard(_pageStats.get());
-
-    struct TimeSeriesGuard
-    {
-        obs::TimeSeries *t;
-        TimeSeriesGuard(obs::TimeSeries *tt, sim::Engine &engine) : t(tt)
-        {
-            if (t) {
-                t->attach();
-                t->start(engine);
-            }
-        }
-        ~TimeSeriesGuard()
-        {
-            if (t) {
-                t->stop();
-                t->detach();
-            }
-        }
-    } timeseries_guard(_timeSeries.get(), _engine);
+    // The host profiler is installed for the simulation only, so its
+    // wall clock and dispatch brackets cover exactly run()'s events
+    // (a sampler's first and last rows, taken around run(), stay
+    // unmetered). A watchdog throw leaves it installed; the
+    // destructor clears the context.
+    if (_hostProf) {
+        _hostProf->startTimer();
+        _engine.obs().prof = _hostProf.get();
+    }
+    if (_timeSeries)
+        _timeSeries->start(_engine);
 
     _policy->onSystemStart();
 
@@ -392,8 +356,8 @@ MultiGpuSystem::run(wl::Workload &workload)
                                       (*launch_next)(k + 1);
                                   });
     };
-    _engine.schedule(0, [launch_next] {
-        GHPROF_SCOPE("sys", "kernel_launch");
+    _engine.schedule(0, [this, launch_next] {
+        GHPROF_SCOPE(_engine.obs().prof, "sys", "kernel_launch");
         (*launch_next)(0);
     });
 
@@ -422,14 +386,16 @@ MultiGpuSystem::run(wl::Workload &workload)
     _auditViolations += auditInvariants();
 
     // Flush the time series' final partial interval before the
-    // results snapshot it (the guard's later stop() is a no-op).
+    // results snapshot it.
     if (_timeSeries)
         _timeSeries->stop();
 
     // Freeze the host wall clock at end-of-sim so result collection
     // and report writing don't inflate the measured run time.
-    if (_hostProf)
+    if (_hostProf) {
         _hostProf->stopTimer();
+        _engine.obs().prof = nullptr;
+    }
 
     return collectResults();
 }

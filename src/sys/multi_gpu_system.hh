@@ -115,6 +115,7 @@ class MultiGpuSystem : public gpu::RemoteRouter
     /**
      * Run @p workload to completion (all kernels, back to back) and
      * collect the results. May be called once per system instance.
+     * @throws std::logic_error when called a second time.
      */
     RunResult run(wl::Workload &workload);
 
@@ -137,7 +138,7 @@ class MultiGpuSystem : public gpu::RemoteRouter
     core::GriffinPolicy *griffinPolicy() { return _griffinPolicy; }
     const SystemConfig &config() const { return _config; }
     gpu::Pmc &pmc(unsigned dev) { return *_pmcs[dev]; }
-    /** The run's fault-span sink (attached for the run's duration). */
+    /** The run's fault-span sink (installed in the engine's context). */
     const obs::FaultSpans &faultSpans() const { return _spans; }
     /** Non-null only when the config enabled page-lifecycle stats. */
     obs::PageStats *pageStats() { return _pageStats.get(); }
@@ -191,15 +192,15 @@ class MultiGpuSystem : public gpu::RemoteRouter
     std::unique_ptr<sim::Watchdog> _watchdog;
     std::uint64_t _auditViolations = 0;
 
-    /** Run-level latency histograms, attached for the run's duration. */
+    /** Run-level latency histograms (installed in the context). */
     obs::Metrics _metrics;
-    /** Per-fault causal spans, attached alongside the metrics. */
+    /** Per-fault causal spans (installed in the context). */
     obs::FaultSpans _spans;
     /** Built only when SystemConfig::pageStats.enabled. */
     std::unique_ptr<obs::PageStats> _pageStats;
     /** Built only when SystemConfig::timeseriesTick > 0. */
     std::unique_ptr<obs::TimeSeries> _timeSeries;
-    /** Built only when SystemConfig::hostProf. */
+    /** Built only when SystemConfig::hostProf; installed by run(). */
     std::unique_ptr<obs::HostProfiler> _hostProf;
     /** The log clock that was registered before this system's engine. */
     const sim::Engine *_prevLogClock = nullptr;

@@ -11,10 +11,10 @@
  * CSV and JSON reports built from the result vector are byte-identical
  * whether the sweep ran on 1 thread or 16.
  *
- * What makes this safe is that all cross-run observability state is
- * thread-local (obs::TraceSession / obs::Metrics / obs::FaultSpans
- * actives, the sim::Log clock): a job's sinks are attached on the
- * worker thread that runs it and never observed by its neighbours.
+ * What makes this safe is that every sink a run records into is
+ * reached through its own engine's telemetry context (obs/context.hh),
+ * and the sim::Log clock is thread-local: a job's sinks are installed
+ * in its own system and never observed by its neighbours.
  * The per-run hooks (preRun/postRun) also execute on the worker
  * thread; anything they share with the submitting thread must be
  * synchronized by the caller (bench::ObsState merges fragments under
@@ -54,15 +54,16 @@ struct SweepJob
 
     /**
      * Optional: runs on the worker thread after the system is built
-     * and before the simulation starts — the place to attach per-run
-     * observability (trace sessions, samplers, access probes).
+     * and before the simulation starts — the place to install per-run
+     * observability (a trace session in `system.engine().obs()`,
+     * samplers, access probes).
      */
     std::function<void(MultiGpuSystem &)> preRun;
 
     /**
      * Optional: runs on the worker thread after the simulation
      * completes, while the system is still alive — the place to
-     * detach sinks and hand per-run fragments to a merge point
+     * stop samplers and hand per-run fragments to a merge point
      * (synchronize anything shared!).
      */
     std::function<void(MultiGpuSystem &, const RunResult &)> postRun;

@@ -27,7 +27,7 @@ class FaultHandler
      * @param fid span identity of the fault (obs/span.hh); handlers
      *            thread it through batching and the page transfer so
      *            stage boundaries attribute to the right fault. May be
-     *            invalidFaultId when no span sink is attached.
+     *            invalidFaultId when no span sink is installed.
      */
     virtual void onPageFault(DeviceId requester, PageId page,
                              FaultId fid = invalidFaultId) = 0;

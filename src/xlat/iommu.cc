@@ -67,7 +67,7 @@ Iommu::request(XlatRequest &req)
 void
 Iommu::lookup(XlatRequest &req)
 {
-    GHPROF_SCOPE("iommu", "iotlb");
+    GHPROF_SCOPE(_engine.obs().prof, "iommu", "iotlb");
     // A page under migration must park even on what would be an
     // IOTLB hit; blockPage() purges the entry, so a lookup hit
     // implies the page is stable.
@@ -122,7 +122,7 @@ Iommu::startWalks()
             latency += penalty;
             ++walksStalled;
             _injector->noteRecoveryCycles(penalty);
-            if (auto *tr = obs::TraceSession::activeFor(obs::CatChaos)) {
+            if (auto *tr = _engine.obs().traceFor(obs::CatChaos)) {
                 tr->instant(obs::CatChaos, kTrack, "walker_stall",
                             _engine.now(),
                             obs::TraceArgs()
@@ -131,7 +131,7 @@ Iommu::startWalks()
             }
         }
         _engine.schedule(latency, [this, page] {
-            GHPROF_SCOPE("iommu", "walk_done");
+            GHPROF_SCOPE(_engine.obs().prof, "iommu", "walk_done");
             finishWalk(page);
         });
     }
@@ -161,7 +161,7 @@ Iommu::resolve(XlatRequest &req)
 
     if (pi.migrating) {
         ++parkedRequests;
-        if (auto *tr = obs::TraceSession::activeFor(obs::CatFault)) {
+        if (auto *tr = _engine.obs().traceFor(obs::CatFault)) {
             tr->instant(obs::CatFault, kTrack, "request_parked",
                         _engine.now(),
                         obs::TraceArgs()
@@ -194,7 +194,7 @@ Iommu::resolve(XlatRequest &req)
             // Open the span: the pre-fault stages (queue, walk,
             // policy) are known in full right here.
             FaultId fid = invalidFaultId;
-            if (auto *fs = obs::FaultSpans::active()) {
+            if (auto *fs = _engine.obs().spans) {
                 fid = fs->beginFault(requester, page, req.origin);
                 fs->mark(fid, obs::Stage::WalkQueue, req.walkStart);
                 fs->mark(fid, obs::Stage::Walk, req.walkEnd);
@@ -206,7 +206,7 @@ Iommu::resolve(XlatRequest &req)
             GLOG(Trace, "iommu: fault page " << page << " -> gpu "
                                              << requester);
             if (auto *tr =
-                    obs::TraceSession::activeFor(obs::CatFault)) {
+                    _engine.obs().traceFor(obs::CatFault)) {
                 tr->instant(obs::CatFault, kTrack, "fault_raised",
                             _engine.now(),
                             obs::TraceArgs()
@@ -221,7 +221,7 @@ Iommu::resolve(XlatRequest &req)
             _faultHandler->onPageFault(requester, page, fid);
         } else {
             ++dcaRedirects;
-            if (auto *tr = obs::TraceSession::activeFor(obs::CatDca)) {
+            if (auto *tr = _engine.obs().traceFor(obs::CatDca)) {
                 tr->instant(obs::CatDca, kTrack, "dca_redirect",
                             _engine.now(),
                             obs::TraceArgs()
@@ -255,8 +255,9 @@ Iommu::reply(XlatRequest &req, XlatReply rep)
     _network.send(cpuDeviceId, req.requester, ic::MessageSizes::xlatReply,
                   [this, r = &req] {
         const Tick now = _engine.now();
-        obs::FaultSpans::completeActive(r->fid, now);
-        if (auto *tr = obs::TraceSession::activeFor(obs::CatFault)) {
+        if (auto *spans = _engine.obs().spans)
+            spans->complete(r->fid, now);
+        if (auto *tr = _engine.obs().traceFor(obs::CatFault)) {
             const std::string track = "gpu" + std::to_string(r->requester);
             tr->instant(obs::CatFault, track, "fault_resume", now,
                         obs::TraceArgs().add("fault", r->fid));

@@ -17,7 +17,6 @@
 #include <new>
 #include <vector>
 
-#include "src/obs/metrics.hh"
 #include "src/sys/multi_gpu_system.hh"
 #include "src/workloads/workload.hh"
 
@@ -103,18 +102,15 @@ lineOf(PageId page, unsigned line)
 struct AccessRig
 {
     sys::MultiGpuSystem system{sys::SystemConfig::baseline()};
-    obs::Metrics metrics;
 
     AccessRig()
     {
+        // The system's metrics are installed from construction, so
+        // remote-access latency sampling is on, as during run().
         system.pageTable().setLocation(kLocalPage, 1);
         system.pageTable().setLocation(kRemotePage, 2);
         system.pageTable().info(kCpuPage).dcaFallback = true;
-        // Remote-access latency sampling stays on, as during run().
-        metrics.attach();
     }
-
-    ~AccessRig() { metrics.detach(); }
 
     /** Four wavefronts, each issuing every address of @p addrs. */
     static wl::Workgroup

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "src/sys/multi_gpu_system.hh"
 #include "src/workloads/workload.hh"
@@ -83,4 +84,16 @@ TEST(SmokeDeterminism, SameSeedSameCycles)
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.pagesPerDevice, b.pagesPerDevice);
     EXPECT_EQ(a.remoteAccesses, b.remoteAccesses);
+}
+
+TEST(SmokeLifecycle, SecondRunThrows)
+{
+    // A system runs exactly one workload; a second run() is a caller
+    // error reported as an exception, never a process exit.
+    wl::WorkloadConfig wcfg;
+    wcfg.scaleDiv = 64;
+    sys::MultiGpuSystem system(sys::SystemConfig::baseline());
+    system.run(*wl::makeWorkload("MT", wcfg));
+    EXPECT_THROW(system.run(*wl::makeWorkload("MT", wcfg)),
+                 std::logic_error);
 }

@@ -5,7 +5,8 @@
  * against the run-level aggregates, reports zero churn on a workload
  * without ping-pong, and stays bit-identical when telemetry is off;
  * a crafted ping-pong migration sequence through the real executor
- * fires the churn detector; the JSON report carries both sections.
+ * fires the churn detector; the JSON report carries both sections;
+ * two systems alive on one thread keep their sinks apart.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "src/gpu/gpu.hh"
 #include "src/obs/json.hh"
 #include "src/obs/pagestats.hh"
+#include "src/obs/trace.hh"
 #include "src/sim/engine.hh"
 #include "src/sys/multi_gpu_system.hh"
 #include "src/sys/report.hh"
@@ -183,7 +185,7 @@ class NullHandler : public xlat::FaultHandler
 struct PingPongRig
 {
     sim::Engine engine;
-    mem::PageTable pt{12, 5};
+    mem::PageTable pt{12, 5, &engine.obs()};
     ic::Network net{engine, 5, ic::LinkConfig{32.0, 10}};
     xlat::Iommu iommu{engine, net, pt, xlat::IommuConfig{}};
     NeverMigratePolicy policy;
@@ -240,9 +242,8 @@ struct PingPongRig
 TEST(Telemetry, PingPongWorkloadFiresTheChurnDetector)
 {
     PingPongRig rig;
-    obs::PageStats ps;
-    ps.setClock(&rig.engine);
-    ps.attach();
+    obs::PageStats ps({}, &rig.engine);
+    rig.engine.obs().pageStats = &ps;
 
     // Seed pages 10..12 on GPU1 (these CPU->GPU1 setLocation calls
     // commit but cannot churn: nothing has left GPU1 yet), then drive
@@ -253,7 +254,6 @@ TEST(Telemetry, PingPongWorkloadFiresTheChurnDetector)
         rig.executor->executeBatch(back, [] {});
     });
     rig.engine.run();
-    ps.detach();
 
     // Each page returned to GPU1 shortly after leaving it: 3 churn
     // events, and the full lifecycle was witnessed.
@@ -270,6 +270,65 @@ TEST(Telemetry, PingPongWorkloadFiresTheChurnDetector)
     EXPECT_EQ(s.churnPages, 3u);
     ASSERT_EQ(s.thrashingPages.size(), 3u);
     EXPECT_EQ(s.thrashingPages[0].page, 10u);
+}
+
+namespace {
+
+/** A system with page stats on and @p trace installed in its context. */
+std::unique_ptr<sys::MultiGpuSystem>
+tracedSystem(sys::SystemConfig scfg, obs::TraceSession &trace)
+{
+    scfg.pageStats.enabled = true;
+    auto system = std::make_unique<sys::MultiGpuSystem>(scfg);
+    system->engine().obs().trace = &trace;
+    return system;
+}
+
+/** What one run's sinks recorded, serialized for comparison. */
+std::string
+sinkContents(const obs::TraceSession &trace,
+             sys::MultiGpuSystem &system)
+{
+    sys::RunResult digest;
+    digest.pageStats = system.pageStats()->summary();
+    const obs::json::Value report =
+        sys::runReportJson("run", system.config(), digest);
+    return trace.json() + "\n" + report.find("page_stats")->dump();
+}
+
+} // namespace
+
+TEST(Telemetry, TwoSystemsOnOneThreadKeepTheirOwnSinks)
+{
+    // Two systems alive at once on one thread, each with its own
+    // trace session and page stats, run one after the other: each
+    // sink holds exactly its own run's events, as in a solo run.
+    wl::WorkloadConfig wcfg;
+    wcfg.scaleDiv = 64;
+    wcfg.seed = 42;
+    const auto griffin = sys::SystemConfig::griffinDefault();
+    const auto baseline = sys::SystemConfig::baseline();
+
+    obs::TraceSession trace_a, trace_b;
+    auto a = tracedSystem(griffin, trace_a);
+    auto b = tracedSystem(baseline, trace_b);
+    a->run(*wl::makeWorkload("MT", wcfg));
+    b->run(*wl::makeWorkload("SC", wcfg));
+
+    obs::TraceSession solo_trace_a, solo_trace_b;
+    auto solo_a = tracedSystem(griffin, solo_trace_a);
+    solo_a->run(*wl::makeWorkload("MT", wcfg));
+    auto solo_b = tracedSystem(baseline, solo_trace_b);
+    solo_b->run(*wl::makeWorkload("SC", wcfg));
+
+    EXPECT_GT(trace_a.eventCount(), 0u);
+    EXPECT_GT(trace_b.eventCount(), 0u);
+    EXPECT_GT(a->pageStats()->pagesTracked(), 0u);
+    EXPECT_GT(b->pageStats()->pagesTracked(), 0u);
+    EXPECT_EQ(sinkContents(trace_a, *a),
+              sinkContents(solo_trace_a, *solo_a));
+    EXPECT_EQ(sinkContents(trace_b, *b),
+              sinkContents(solo_trace_b, *solo_b));
 }
 
 TEST(Telemetry, HostProfilerAttributesRealRunsAndMetersObsOverhead)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the host-side self-profiler: the attach discipline,
+ * Unit tests for the host-side self-profiler: the null-profiler scope,
  * dispatch bracketing through a real EventQueue, the self-time
  * partition invariant (bucket self times sum exactly to the measured
  * dispatch time), the first-scope-claims-bracket attribution rule,
@@ -11,6 +11,7 @@
 
 #include <string>
 
+#include "src/obs/context.hh"
 #include "src/obs/hostprof.hh"
 #include "src/sim/event_queue.hh"
 
@@ -32,39 +33,28 @@ spin(unsigned iters = 500)
 
 TEST(HostProfiler, ScopeIsANoOpWhenNothingIsAttached)
 {
-    ASSERT_EQ(HostProfiler::active(), nullptr);
+    const griffin::obs::Context ctx;
+    ASSERT_EQ(ctx.prof, nullptr);
     {
-        GHPROF_SCOPE("gpu", "l1_tlb");
+        GHPROF_SCOPE(ctx.prof, "gpu", "l1_tlb");
         spin();
     }
-    ASSERT_EQ(HostProfiler::active(), nullptr);
-}
-
-TEST(HostProfiler, AttachDisciplineIsLifo)
-{
-    HostProfiler outer;
-    HostProfiler inner;
-    outer.attach();
-    EXPECT_EQ(HostProfiler::active(), &outer);
-    inner.attach();
-    EXPECT_EQ(HostProfiler::active(), &inner);
-    inner.detach();
-    EXPECT_EQ(HostProfiler::active(), &outer);
-    outer.detach();
-    EXPECT_EQ(HostProfiler::active(), nullptr);
+    ASSERT_EQ(ctx.prof, nullptr);
 }
 
 TEST(HostProfiler, CountsDispatchesThroughTheEventQueue)
 {
     griffin::sim::EventQueue queue;
     HostProfiler prof;
-    prof.attach();
+    queue.obs().prof = &prof;
+    prof.startTimer();
     unsigned fired = 0;
     for (int i = 0; i < 5; ++i)
         queue.schedule(griffin::Tick(i * 10), [&] { ++fired; });
     while (queue.runOne())
         ;
-    prof.detach();
+    queue.obs().prof = nullptr;
+    prof.stopTimer();
 
     EXPECT_EQ(fired, 5u);
     EXPECT_EQ(prof.eventsDispatched(), 5u);
@@ -78,10 +68,12 @@ TEST(HostProfiler, ScopelessDispatchLandsInUnattributed)
 {
     griffin::sim::EventQueue queue;
     HostProfiler prof;
-    prof.attach();
+    queue.obs().prof = &prof;
+    prof.startTimer();
     queue.schedule(0, [] { spin(); });
     queue.runOne();
-    prof.detach();
+    queue.obs().prof = nullptr;
+    prof.stopTimer();
 
     const HostProfile p = prof.profile();
     const auto *b = p.findBucket("sim", "unattributed");
@@ -96,13 +88,15 @@ TEST(HostProfiler, FirstScopeClaimsTheDispatchBracket)
 {
     griffin::sim::EventQueue queue;
     HostProfiler prof;
-    prof.attach();
-    queue.schedule(0, [] {
-        GHPROF_SCOPE("iommu", "walk_done");
+    queue.obs().prof = &prof;
+    prof.startTimer();
+    queue.schedule(0, [&prof] {
+        GHPROF_SCOPE(&prof, "iommu", "walk_done");
         spin();
     });
     queue.runOne();
-    prof.detach();
+    queue.obs().prof = nullptr;
+    prof.stopTimer();
 
     const HostProfile p = prof.profile();
     // The bracket's own self time merged into the scope's bucket with
@@ -120,28 +114,30 @@ TEST(HostProfiler, NestedScopeSelfTimesPartitionTheDispatchExactly)
 {
     griffin::sim::EventQueue queue;
     HostProfiler prof;
-    prof.attach();
+    queue.obs().prof = &prof;
+    prof.startTimer();
     for (int i = 0; i < 3; ++i) {
-        queue.schedule(griffin::Tick(i), [] {
-            GHPROF_SCOPE("gpu", "l1_cache");
+        queue.schedule(griffin::Tick(i), [&prof] {
+            GHPROF_SCOPE(&prof, "gpu", "l1_cache");
             spin();
             {
-                GHPROF_SCOPE("gpu", "l2_cache");
+                GHPROF_SCOPE(&prof, "gpu", "l2_cache");
                 spin();
                 {
-                    GHPROF_SCOPE("network", "deliver");
+                    GHPROF_SCOPE(&prof, "network", "deliver");
                     spin();
                 }
             }
             {
-                GHPROF_SCOPE("obs", "trace");
+                GHPROF_SCOPE(&prof, "obs", "trace");
                 spin();
             }
         });
     }
     while (queue.runOne())
         ;
-    prof.detach();
+    queue.obs().prof = nullptr;
+    prof.stopTimer();
 
     const HostProfile p = prof.profile();
     EXPECT_EQ(p.events, 3u);
@@ -165,13 +161,15 @@ TEST(HostProfiler, BucketOrderIsDeterministic)
 {
     griffin::sim::EventQueue queue;
     HostProfiler prof;
-    prof.attach();
-    queue.schedule(0, [] { GHPROF_SCOPE("zeta", "b"); });
-    queue.schedule(1, [] { GHPROF_SCOPE("alpha", "z"); });
-    queue.schedule(2, [] { GHPROF_SCOPE("alpha", "a"); });
+    queue.obs().prof = &prof;
+    prof.startTimer();
+    queue.schedule(0, [&prof] { GHPROF_SCOPE(&prof, "zeta", "b"); });
+    queue.schedule(1, [&prof] { GHPROF_SCOPE(&prof, "alpha", "z"); });
+    queue.schedule(2, [&prof] { GHPROF_SCOPE(&prof, "alpha", "a"); });
     while (queue.runOne())
         ;
-    prof.detach();
+    queue.obs().prof = nullptr;
+    prof.stopTimer();
 
     const HostProfile p = prof.profile();
     ASSERT_EQ(p.buckets.size(), 3u);
@@ -183,14 +181,12 @@ TEST(HostProfiler, BucketOrderIsDeterministic)
 TEST(HostProfiler, StopTimerFreezesTheWallClock)
 {
     HostProfiler prof;
-    prof.attach();
+    prof.startTimer();
     spin(5000);
     prof.stopTimer();
     const std::uint64_t first = prof.profile().wallNs;
     spin(5000);
     prof.stopTimer(); // idempotent: keeps the first reading
-    EXPECT_EQ(prof.profile().wallNs, first);
-    prof.detach();
     EXPECT_EQ(prof.profile().wallNs, first);
 }
 

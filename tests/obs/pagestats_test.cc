@@ -2,13 +2,16 @@
  * @file
  * Unit tests for the per-page lifecycle recorder: event accounting,
  * churn detection (window semantics), reuse distance, residency
- * timelines, deterministic top tables, and the attach discipline.
+ * timelines, deterministic top tables, and recording through a
+ * telemetry context.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "src/mem/page_table.hh"
+#include "src/obs/context.hh"
 #include "src/obs/pagestats.hh"
 #include "src/sim/engine.hh"
 
@@ -42,21 +45,22 @@ TEST(PageStats, EventNamesAreStableSnakeCase)
 
 TEST(PageStats, StaticGuardsAreNoOpsWhenNothingIsAttached)
 {
-    ASSERT_EQ(PageStats::active(), nullptr);
-    // Must not crash, must not touch any instance.
-    PageStats::recordActive(PageEvent::MigrationCommit, 7, 0, 1, 100);
-    PageStats::recordActiveNow(PageEvent::FirstTouch, 7, 0, 1);
-    ASSERT_EQ(PageStats::active(), nullptr);
+    // An engine whose context holds no recorder: the page table's
+    // commit point skips recording without touching any instance.
+    griffin::sim::Engine e;
+    ASSERT_EQ(e.obs().pageStats, nullptr);
+    griffin::mem::PageTable pt(12, 5, &e.obs());
+    pt.setLocation(7, 1);
+    EXPECT_EQ(pt.migrations(), 1u);
+    ASSERT_EQ(e.obs().pageStats, nullptr);
 }
 
 TEST(PageStats, CountsEventsGloballyAndPerPage)
 {
     PageStats ps;
-    ps.attach();
-    PageStats::recordActive(PageEvent::FirstTouch, 1, cpuDeviceId, 1, 10);
-    PageStats::recordActive(PageEvent::FirstTouch, 2, cpuDeviceId, 2, 20);
-    PageStats::recordActive(PageEvent::DftmDenial, 2, cpuDeviceId, 2, 20);
-    ps.detach();
+    ps.record(PageEvent::FirstTouch, 1, cpuDeviceId, 1, 10);
+    ps.record(PageEvent::FirstTouch, 2, cpuDeviceId, 2, 20);
+    ps.record(PageEvent::DftmDenial, 2, cpuDeviceId, 2, 20);
 
     EXPECT_EQ(ps.eventCount(PageEvent::FirstTouch), 2u);
     EXPECT_EQ(ps.eventCount(PageEvent::DftmDenial), 1u);
@@ -70,14 +74,12 @@ TEST(PageStats, PingPongWithinTheWindowIsChurn)
     cfg.enabled = true;
     cfg.churnWindow = 1000;
     PageStats ps(cfg);
-    ps.attach();
     // Page 5: CPU -> GPU1 -> GPU2 -> GPU1. The third commit returns
     // the page to GPU1, 100 ticks after it left GPU1: churn.
-    PageStats::recordActive(PageEvent::MigrationCommit, 5, 0, 1, 100);
-    PageStats::recordActive(PageEvent::MigrationCommit, 5, 1, 2, 200);
+    ps.record(PageEvent::MigrationCommit, 5, 0, 1, 100);
+    ps.record(PageEvent::MigrationCommit, 5, 1, 2, 200);
     EXPECT_EQ(ps.churnEvents(), 0u);
-    PageStats::recordActive(PageEvent::MigrationCommit, 5, 2, 1, 300);
-    ps.detach();
+    ps.record(PageEvent::MigrationCommit, 5, 2, 1, 300);
 
     EXPECT_EQ(ps.churnEvents(), 1u);
     EXPECT_EQ(ps.churnOf(5), 1u);
@@ -90,12 +92,10 @@ TEST(PageStats, ReturnOutsideTheWindowIsNotChurn)
     cfg.enabled = true;
     cfg.churnWindow = 50;
     PageStats ps(cfg);
-    ps.attach();
-    PageStats::recordActive(PageEvent::MigrationCommit, 5, 0, 1, 0);
-    PageStats::recordActive(PageEvent::MigrationCommit, 5, 1, 2, 10);
+    ps.record(PageEvent::MigrationCommit, 5, 0, 1, 0);
+    ps.record(PageEvent::MigrationCommit, 5, 1, 2, 10);
     // Returns to GPU1 90 ticks after leaving it: outside the window.
-    PageStats::recordActive(PageEvent::MigrationCommit, 5, 2, 1, 100);
-    ps.detach();
+    ps.record(PageEvent::MigrationCommit, 5, 2, 1, 100);
 
     EXPECT_EQ(ps.churnEvents(), 0u);
     EXPECT_EQ(ps.churnOf(5), 0u);
@@ -104,22 +104,18 @@ TEST(PageStats, ReturnOutsideTheWindowIsNotChurn)
 TEST(PageStats, OneWayMigrationIsNeverChurn)
 {
     PageStats ps;
-    ps.attach();
     // A page marching forward never returns anywhere.
-    PageStats::recordActive(PageEvent::MigrationCommit, 9, 0, 1, 10);
-    PageStats::recordActive(PageEvent::MigrationCommit, 9, 1, 2, 20);
-    PageStats::recordActive(PageEvent::MigrationCommit, 9, 2, 3, 30);
-    ps.detach();
+    ps.record(PageEvent::MigrationCommit, 9, 0, 1, 10);
+    ps.record(PageEvent::MigrationCommit, 9, 1, 2, 20);
+    ps.record(PageEvent::MigrationCommit, 9, 2, 3, 30);
     EXPECT_EQ(ps.churnEvents(), 0u);
 }
 
 TEST(PageStats, ReuseDistanceSpansConsecutiveCommits)
 {
     PageStats ps;
-    ps.attach();
-    PageStats::recordActive(PageEvent::MigrationCommit, 3, 0, 1, 100);
-    PageStats::recordActive(PageEvent::MigrationCommit, 3, 1, 2, 400);
-    ps.detach();
+    ps.record(PageEvent::MigrationCommit, 3, 0, 1, 100);
+    ps.record(PageEvent::MigrationCommit, 3, 1, 2, 400);
 
     const PageStatsSummary s = ps.summary();
     EXPECT_EQ(s.reuseDistance.count(), 1u);
@@ -129,12 +125,9 @@ TEST(PageStats, ReuseDistanceSpansConsecutiveCommits)
 TEST(PageStats, ResidencyTimelineIsSeededWithTheFirstHome)
 {
     PageStats ps;
-    ps.attach();
-    PageStats::recordActive(PageEvent::FirstTouch, 8, cpuDeviceId, 2, 50);
-    PageStats::recordActive(PageEvent::MigrationCommit, 8, cpuDeviceId,
-                            2, 120);
-    PageStats::recordActive(PageEvent::MigrationCommit, 8, 2, 3, 500);
-    ps.detach();
+    ps.record(PageEvent::FirstTouch, 8, cpuDeviceId, 2, 50);
+    ps.record(PageEvent::MigrationCommit, 8, cpuDeviceId, 2, 120);
+    ps.record(PageEvent::MigrationCommit, 8, 2, 3, 500);
 
     const PageStatsSummary s = ps.summary();
     ASSERT_EQ(s.hotPages.size(), 1u);
@@ -157,15 +150,13 @@ TEST(PageStats, TopTablesAreSortedAndDeterministic)
     cfg.enabled = true;
     cfg.topN = 2;
     PageStats ps(cfg);
-    ps.attach();
     // Page 10: 1 commit; page 11: 3 commits (1 churn); page 12: 2.
-    PageStats::recordActive(PageEvent::MigrationCommit, 10, 0, 1, 10);
-    PageStats::recordActive(PageEvent::MigrationCommit, 11, 0, 1, 10);
-    PageStats::recordActive(PageEvent::MigrationCommit, 11, 1, 2, 20);
-    PageStats::recordActive(PageEvent::MigrationCommit, 11, 2, 1, 30);
-    PageStats::recordActive(PageEvent::MigrationCommit, 12, 0, 2, 10);
-    PageStats::recordActive(PageEvent::MigrationCommit, 12, 2, 3, 20);
-    ps.detach();
+    ps.record(PageEvent::MigrationCommit, 10, 0, 1, 10);
+    ps.record(PageEvent::MigrationCommit, 11, 0, 1, 10);
+    ps.record(PageEvent::MigrationCommit, 11, 1, 2, 20);
+    ps.record(PageEvent::MigrationCommit, 11, 2, 1, 30);
+    ps.record(PageEvent::MigrationCommit, 12, 0, 2, 10);
+    ps.record(PageEvent::MigrationCommit, 12, 2, 3, 20);
 
     const PageStatsSummary s = ps.summary();
     EXPECT_EQ(s.pagesMigrated, 3u);
@@ -187,16 +178,15 @@ TEST(PageStats, TopTablesAreSortedAndDeterministic)
 
 TEST(PageStats, AttachNestsLifo)
 {
+    // Installing a recorder over another diverts the context's events
+    // to it; putting the first one back restores it.
     PageStats outer, inner;
-    outer.attach();
-    PageStats::recordActive(PageEvent::FirstTouch, 1, 0, 1, 5);
-    inner.attach();
-    EXPECT_EQ(PageStats::active(), &inner);
-    PageStats::recordActive(PageEvent::FirstTouch, 2, 0, 1, 6);
-    inner.detach();
-    EXPECT_EQ(PageStats::active(), &outer);
-    outer.detach();
-    EXPECT_EQ(PageStats::active(), nullptr);
+    griffin::obs::Context ctx;
+    ctx.pageStats = &outer;
+    ctx.pageStats->record(PageEvent::FirstTouch, 1, 0, 1, 5);
+    ctx.pageStats = &inner;
+    ctx.pageStats->record(PageEvent::FirstTouch, 2, 0, 1, 6);
+    ctx.pageStats = &outer;
 
     EXPECT_EQ(outer.eventCount(PageEvent::FirstTouch), 1u);
     EXPECT_EQ(inner.eventCount(PageEvent::FirstTouch), 1u);
@@ -210,12 +200,8 @@ TEST(PageStats, RecordNowReadsTheInjectedClock)
     e.schedule(77, [] {});
     e.run();
 
-    PageStats ps;
-    ps.setClock(&e);
-    ps.attach();
-    PageStats::recordActiveNow(PageEvent::MigrationCommit, 4,
-                               cpuDeviceId, 1);
-    ps.detach();
+    PageStats ps({}, &e);
+    ps.recordNow(PageEvent::MigrationCommit, 4, cpuDeviceId, 1);
 
     const PageStatsSummary s = ps.summary();
     ASSERT_EQ(s.hotPages.size(), 1u);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the causal fault spans (obs/span.hh): sink
- * attachment, stage-mark ordering and clamping, critical-path
+ * installation, stage-mark ordering and clamping, critical-path
  * aggregation — and an integration rig proving a FaultId survives the
  * whole IOMMU -> driver -> CPMS batch -> PMC -> replay path with a
  * complete, monotone span tree and no orphans.
@@ -29,37 +29,35 @@ using obs::Stage;
 
 TEST(FaultSpans, NothingActiveByDefault)
 {
-    EXPECT_EQ(FaultSpans::active(), nullptr);
-    // Static guards are safe no-ops without a sink.
-    FaultSpans::markActive(1, Stage::Walk, 100);
-    FaultSpans::completeActive(1, 200);
+    // A fresh engine's context holds no sink, so instrumentation
+    // sites skip recording.
+    const sim::Engine engine;
+    EXPECT_EQ(engine.obs().spans, nullptr);
 }
 
 TEST(FaultSpans, AttachDetachRestoresPrevious)
 {
-    FaultSpans outer;
-    outer.attach();
-    EXPECT_EQ(FaultSpans::active(), &outer);
-    {
-        FaultSpans inner;
-        inner.attach();
-        EXPECT_EQ(FaultSpans::active(), &inner);
-        inner.detach();
-    }
-    EXPECT_EQ(FaultSpans::active(), &outer);
-    outer.detach();
-    EXPECT_EQ(FaultSpans::active(), nullptr);
+    // Installing a sink over another diverts the context's records to
+    // it; putting the first one back restores it.
+    FaultSpans outer, inner;
+    obs::Context ctx;
+    ctx.spans = &outer;
+    ctx.spans->beginFault(1, 10, 0);
+    ctx.spans = &inner;
+    ctx.spans->beginFault(2, 20, 0);
+    ctx.spans = &outer;
+    ctx.spans->beginFault(3, 30, 0);
+    EXPECT_EQ(outer.faultsStarted(), 2u);
+    EXPECT_EQ(inner.faultsStarted(), 1u);
 }
 
 TEST(FaultSpans, InvalidFaultIdIsIgnored)
 {
     FaultSpans spans;
-    spans.attach();
-    FaultSpans::markActive(invalidFaultId, Stage::Walk, 50);
-    FaultSpans::completeActive(invalidFaultId, 60);
+    spans.mark(invalidFaultId, Stage::Walk, 50);
+    spans.complete(invalidFaultId, 60);
     EXPECT_EQ(spans.faultsStarted(), 0u);
     EXPECT_EQ(spans.completedFaults().size(), 0u);
-    spans.detach();
 }
 
 TEST(FaultSpans, CompleteFaultRecordsOrderedStages)
@@ -202,7 +200,7 @@ TEST(FaultSpansIntegration, CpmsBatchedFaultsFormCompleteSpanTrees)
     Rig rig(cfg);
 
     obs::FaultSpans spans;
-    spans.attach();
+    rig.engine.obs().spans = &spans;
 
     // Four GPUs fault four distinct CPU-resident pages, staggered so
     // the early faults genuinely wait for the batch to fill.
@@ -217,7 +215,6 @@ TEST(FaultSpansIntegration, CpmsBatchedFaultsFormCompleteSpanTrees)
         });
     }
     rig.engine.run();
-    spans.detach();
 
     EXPECT_EQ(requester.replies, 4u);
     EXPECT_EQ(rig.driver->batchesProcessed, 1u);
@@ -268,7 +265,7 @@ TEST(FaultSpansIntegration, BoundedPmcSurfacesTransferQueueTime)
                      /*max_concurrent=*/1};
 
     obs::FaultSpans spans;
-    spans.attach();
+    rig.engine.obs().spans = &spans;
     const FaultId f1 = spans.beginFault(1, 10, 0);
     const FaultId f2 = spans.beginFault(2, 11, 0);
 
@@ -283,7 +280,6 @@ TEST(FaultSpansIntegration, BoundedPmcSurfacesTransferQueueTime)
     }, f2);
     EXPECT_EQ(bounded.queueDepth(), 2u);
     rig.engine.run();
-    spans.detach();
 
     EXPECT_EQ(done, 2u);
     EXPECT_EQ(bounded.transfersDeferred, 1u);

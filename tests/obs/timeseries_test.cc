@@ -1,8 +1,9 @@
 /**
  * @file
- * Unit tests for the interval time-series recorder: boundary rows,
- * the final partial flush, totals/row reconciliation, nearest-rank
- * fault percentiles, and the link-utilization probe.
+ * Unit tests for the interval time-series recorder: counter-probe
+ * deltas in their boundary rows, the final partial flush, totals/row
+ * reconciliation, nearest-rank fault percentiles, and the
+ * link-utilization probe.
  */
 
 #include <gtest/gtest.h>
@@ -16,28 +17,45 @@ using griffin::sim::Engine;
 
 using Series = TimeSeries::Series;
 
+namespace {
+
+/** Aggregate counters standing in for the system's, one per probe. */
+struct Counters
+{
+    std::uint64_t migrations = 0, dca = 0, shootdowns = 0;
+
+    void
+    probe(TimeSeries &ts)
+    {
+        ts.setCounterProbe(Series::Migrations, [this] { return migrations; });
+        ts.setCounterProbe(Series::DcaAccesses, [this] { return dca; });
+        ts.setCounterProbe(Series::Shootdowns,
+                           [this] { return shootdowns; });
+    }
+};
+
+} // namespace
+
 TEST(TimeSeries, StaticGuardsAreNoOpsWhenNothingIsAttached)
 {
-    ASSERT_EQ(TimeSeries::active(), nullptr);
-    TimeSeries::countActive(Series::Migrations);
-    TimeSeries::faultActive(42.0);
-    ASSERT_EQ(TimeSeries::active(), nullptr);
+    // A fresh engine's context holds no recorder, so the driver's
+    // fault site skips recording.
+    const Engine e;
+    ASSERT_EQ(e.obs().timeseries, nullptr);
 }
 
 TEST(TimeSeries, EventsLandInTheirIntervalRow)
 {
     Engine e;
+    Counters c;
     TimeSeries ts(100);
-    ts.attach();
+    c.probe(ts);
     ts.start(e);
-    e.schedule(10, [] { TimeSeries::countActive(Series::Migrations); });
-    e.schedule(150, [] {
-        TimeSeries::countActive(Series::DcaAccesses, 3);
-    });
-    e.schedule(250, [] { TimeSeries::countActive(Series::Shootdowns); });
+    e.schedule(10, [&c] { ++c.migrations; });
+    e.schedule(150, [&c] { c.dca += 3; });
+    e.schedule(250, [&c] { ++c.shootdowns; });
     e.run();
     ts.stop();
-    ts.detach();
 
     // Boundary rows [0,100) and [100,200), plus the final partial
     // [200,250) flushed by stop().
@@ -54,18 +72,18 @@ TEST(TimeSeries, EventsLandInTheirIntervalRow)
 TEST(TimeSeries, TotalsReconcileWithTheRowSums)
 {
     Engine e;
+    Counters c;
     TimeSeries ts(50);
-    ts.attach();
+    c.probe(ts);
     ts.start(e);
     for (Tick t = 5; t < 300; t += 7) {
-        e.schedule(t, [] {
-            TimeSeries::countActive(Series::Migrations);
-            TimeSeries::faultActive(10.0);
+        e.schedule(t, [&c, &ts] {
+            ++c.migrations;
+            ts.fault(10.0);
         });
     }
     e.run();
     ts.stop();
-    ts.detach();
 
     std::uint64_t migrations = 0, faults = 0;
     for (const auto &row : ts.rows()) {
@@ -78,18 +96,53 @@ TEST(TimeSeries, TotalsReconcileWithTheRowSums)
     EXPECT_EQ(faults, 43u);
 }
 
+TEST(TimeSeries, CountsBeforeStartAreNotAttributed)
+{
+    // The probes are deltas from start(): whatever the counters held
+    // before the run belongs to no interval.
+    Engine e;
+    Counters c;
+    c.migrations = 5;
+    TimeSeries ts(100);
+    c.probe(ts);
+    ts.start(e);
+    e.schedule(10, [&c] { ++c.migrations; });
+    e.run();
+    ts.stop();
+    EXPECT_EQ(ts.total(Series::Migrations), 1u);
+}
+
+TEST(TimeSeries, EventsAtTheEndTickOfAFlushedBoundaryStillLand)
+{
+    // The run ends exactly on a boundary, after events at that tick:
+    // stop() flushes them into a zero-width final row.
+    Engine e;
+    Counters c;
+    TimeSeries ts(100);
+    c.probe(ts);
+    ts.start(e);
+    e.schedule(50, [] {});
+    e.schedule(100, [&c] { ++c.shootdowns; });
+    e.run();
+    ts.stop();
+    ASSERT_EQ(ts.rows().size(), 2u);
+    EXPECT_EQ(ts.rows()[1].begin, Tick(100));
+    EXPECT_EQ(ts.rows()[1].end, Tick(100));
+    EXPECT_EQ(ts.total(Series::Shootdowns), 1u);
+}
+
 TEST(TimeSeries, StopIsIdempotent)
 {
     Engine e;
+    Counters c;
     TimeSeries ts(100);
-    ts.attach();
+    c.probe(ts);
     ts.start(e);
-    e.schedule(30, [] { TimeSeries::countActive(Series::Migrations); });
+    e.schedule(30, [&c] { ++c.migrations; });
     e.run();
     ts.stop();
     const std::size_t rows = ts.rows().size();
     ts.stop(); // must not add another row
-    ts.detach();
     EXPECT_EQ(ts.rows().size(), rows);
     EXPECT_EQ(ts.total(Series::Migrations), 1u);
 }
@@ -98,15 +151,13 @@ TEST(TimeSeries, FaultPercentilesAreNearestRank)
 {
     Engine e;
     TimeSeries ts(1000);
-    ts.attach();
     ts.start(e);
-    e.schedule(10, [] {
+    e.schedule(10, [&ts] {
         for (int i = 1; i <= 20; ++i)
-            TimeSeries::faultActive(double(i));
+            ts.fault(double(i));
     });
     e.run();
     ts.stop();
-    ts.detach();
 
     ASSERT_EQ(ts.rows().size(), 1u);
     const auto &row = ts.rows()[0];
@@ -119,18 +170,18 @@ TEST(TimeSeries, FaultPercentilesAreNearestRank)
 TEST(TimeSeries, LinkUtilIsTheMeanBusyFractionPerInterval)
 {
     Engine e;
+    Counters c;
     double busy = 0.0;
     TimeSeries ts(100);
+    c.probe(ts);
     ts.setLinkBusyProbe([&busy] { return busy; }, 2);
-    ts.attach();
     ts.start(e);
     // 50 busy cycles land in the first interval; 2 wires over 100
     // ticks give 200 wire-ticks of capacity -> 0.25.
     e.schedule(40, [&busy] { busy += 50.0; });
-    e.schedule(150, [] { TimeSeries::countActive(Series::Migrations); });
+    e.schedule(150, [&c] { ++c.migrations; });
     e.run();
     ts.stop();
-    ts.detach();
 
     ASSERT_GE(ts.rows().size(), 2u);
     EXPECT_DOUBLE_EQ(ts.rows()[0].linkUtil, 0.25);
@@ -140,13 +191,13 @@ TEST(TimeSeries, LinkUtilIsTheMeanBusyFractionPerInterval)
 TEST(TimeSeries, SummaryCarriesTickRowsAndTotals)
 {
     Engine e;
+    Counters c;
     TimeSeries ts(100);
-    ts.attach();
+    c.probe(ts);
     ts.start(e);
-    e.schedule(10, [] { TimeSeries::countActive(Series::Migrations); });
+    e.schedule(10, [&c] { ++c.migrations; });
     e.run();
     ts.stop();
-    ts.detach();
 
     const TimeSeries::Summary s = ts.summary();
     EXPECT_EQ(s.tick, Tick(100));

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the trace sink: attachment/guard semantics, category
- * gating, Chrome trace-event JSON shape, timestamp ordering.
+ * Unit tests for the trace sink: the context guard, category gating,
+ * Chrome trace-event JSON shape, timestamp ordering.
  */
 
 #include <gtest/gtest.h>
@@ -10,8 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/context.hh"
 #include "src/obs/json.hh"
-#include "src/obs/metrics.hh"
 #include "src/obs/trace.hh"
 
 using namespace griffin;
@@ -23,54 +23,43 @@ using obs::TraceSession;
 
 TEST(TraceSession, NothingActiveByDefault)
 {
-    EXPECT_EQ(TraceSession::active(), nullptr);
-    EXPECT_EQ(TraceSession::activeFor(CatFault), nullptr);
-}
-
-TEST(TraceSession, AttachDetachRestoresPrevious)
-{
-    TraceSession outer;
-    outer.attach();
-    EXPECT_EQ(TraceSession::active(), &outer);
-    {
-        TraceSession inner;
-        inner.attach();
-        EXPECT_EQ(TraceSession::active(), &inner);
-        inner.detach();
-    }
-    EXPECT_EQ(TraceSession::active(), &outer);
-    outer.detach();
-    EXPECT_EQ(TraceSession::active(), nullptr);
-}
-
-TEST(TraceSession, DestructorDetaches)
-{
-    {
-        TraceSession t;
-        t.attach();
-        EXPECT_NE(TraceSession::active(), nullptr);
-    }
-    EXPECT_EQ(TraceSession::active(), nullptr);
+    const obs::Context ctx;
+    EXPECT_EQ(ctx.trace, nullptr);
+    EXPECT_EQ(ctx.traceFor(CatFault), nullptr);
 }
 
 TEST(TraceSession, CategoryMaskGatesActiveFor)
 {
     TraceSession t(CatFault | CatDrain);
-    t.attach();
-    EXPECT_EQ(TraceSession::activeFor(CatFault), &t);
-    EXPECT_EQ(TraceSession::activeFor(CatDrain), &t);
-    EXPECT_EQ(TraceSession::activeFor(CatNet), nullptr);
-    t.detach();
+    obs::Context ctx;
+    ctx.trace = &t;
+    EXPECT_EQ(ctx.traceFor(CatFault), &ctx);
+    EXPECT_EQ(ctx.traceFor(CatDrain), &ctx);
+    EXPECT_EQ(ctx.traceFor(CatNet), nullptr);
 }
 
 TEST(TraceSession, DefaultCategoriesExcludeHotOnes)
 {
     TraceSession t; // defaults
-    t.attach();
-    EXPECT_NE(TraceSession::activeFor(CatFault), nullptr);
-    EXPECT_EQ(TraceSession::activeFor(CatNet), nullptr);
-    EXPECT_EQ(TraceSession::activeFor(obs::CatDca), nullptr);
-    t.detach();
+    obs::Context ctx;
+    ctx.trace = &t;
+    EXPECT_NE(ctx.traceFor(CatFault), nullptr);
+    EXPECT_EQ(ctx.traceFor(CatNet), nullptr);
+    EXPECT_EQ(ctx.traceFor(obs::CatDca), nullptr);
+}
+
+TEST(TraceSession, ContextForwardsEventsToTheInstalledSession)
+{
+    TraceSession t;
+    obs::Context ctx;
+    ctx.trace = &t;
+    if (auto *tr = ctx.traceFor(CatFault)) {
+        tr->instant(CatFault, "driver", "page_fault", 10);
+        tr->complete(CatFault, "driver", "batch", 10, 20);
+        tr->flow(CatFault, "driver", "fault", 15, 1,
+                 TraceSession::FlowPhase::Begin);
+    }
+    EXPECT_EQ(t.eventCount(), 3u);
 }
 
 TEST(TraceSession, JsonIsWellFormedAndComplete)
@@ -295,18 +284,4 @@ TEST(TraceArgs, FormatsAllValueKinds)
     EXPECT_NE(body.find("\"u\":18446744073709551615"), std::string::npos);
     EXPECT_NE(body.find("\"d\":0.5"), std::string::npos);
     EXPECT_NE(body.find("\"s\":\"text\""), std::string::npos);
-}
-
-TEST(Metrics, AttachDetachMirrorsTraceSession)
-{
-    EXPECT_EQ(obs::Metrics::active(), nullptr);
-    {
-        obs::Metrics m;
-        m.attach();
-        EXPECT_EQ(obs::Metrics::active(), &m);
-        m.latency.faultLatency.sample(100.0);
-        EXPECT_EQ(obs::Metrics::active()->latency.faultLatency.count(),
-                  1u);
-    }
-    EXPECT_EQ(obs::Metrics::active(), nullptr);
 }

@@ -330,3 +330,25 @@ TEST(ChaosSystem, WatchdogThrowMidRunReleasesInFlightAccesses)
     EXPECT_GT(system->engine().pendingEvents(), 0u);
     system.reset();
 }
+
+TEST(ChaosSystem, WatchdogThrowWithEveryOwnedSinkTearsDownCleanly)
+{
+    // A watchdog throw leaves the host profiler installed and the time
+    // series unstopped. Teardown destroys the profiler before the time
+    // series, whose destructor flushes its last interval: the system
+    // must empty its context first, so that flush meters into nothing
+    // (the sanitizer job catches a use after free otherwise).
+    wl::WorkloadConfig wcfg;
+    wcfg.scaleDiv = 64;
+    wcfg.seed = 42;
+    auto workload = wl::makeWorkload("SC", wcfg);
+    auto scfg = sys::SystemConfig::griffinDefault();
+    scfg.maxTicks = 50000;
+    scfg.pageStats.enabled = true;
+    scfg.timeseriesTick = 20000;
+    scfg.hostProf = true;
+    auto system = std::make_unique<sys::MultiGpuSystem>(scfg);
+    EXPECT_THROW(system->run(*workload), sim::WatchdogError);
+    EXPECT_NE(system->engine().obs().prof, nullptr);
+    system.reset();
+}

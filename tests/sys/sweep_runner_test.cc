@@ -137,8 +137,9 @@ TEST(SweepRunner, ChaosSweepIsByteIdenticalAcrossJobCounts)
 
 TEST(SweepRunner, TelemetrySweepIsByteIdenticalAcrossJobCounts)
 {
-    // Page-stats and time-series recorders are thread_local sinks
-    // attached per run, so an instrumented sweep must serialize to
+    // Page-stats and time-series recorders are owned by each run's
+    // system and reached through its engine, so an instrumented sweep
+    // must serialize to
     // byte-identical reports whether it runs on 1 worker or 8 — the
     // property `--page-stats --timeseries=N --jobs=8` depends on.
     auto runInstrumentedGrid = [](unsigned workers) {
@@ -254,9 +255,9 @@ TEST(SweepRunner, NullWorkloadFactoryResultIsAnError)
 
 TEST(SweepRunner, PerRunTraceSessionsStayIsolated)
 {
-    // Each job attaches its own session on its worker thread; events
-    // must never bleed into a neighbour's session, and a serial rerun
-    // must produce the same per-run event counts.
+    // Each job installs its own session in its system's context;
+    // events must never bleed into a neighbour's session, and a serial
+    // rerun must produce the same per-run event counts.
     auto record = [](unsigned workers) {
         SweepRunner runner(workers);
         auto sessions = std::make_shared<
@@ -266,12 +267,8 @@ TEST(SweepRunner, PerRunTraceSessionsStayIsolated)
                 obs::defaultCategories);
             session->beginProcess(job.label);
             sessions->push_back(session);
-            job.preRun = [session](sys::MultiGpuSystem &) {
-                session->attach();
-            };
-            job.postRun = [session](sys::MultiGpuSystem &,
-                                    const RunResult &) {
-                session->detach();
+            job.preRun = [session](sys::MultiGpuSystem &system) {
+                system.engine().obs().trace = session.get();
             };
             runner.submit(std::move(job));
         }
@@ -342,7 +339,7 @@ TEST(SweepRunner, HostProfileCountsAreByteIdenticalAcrossJobCounts)
 TEST(SweepRunner, HostProfileEventsMatchEngineDispatches)
 {
     // The profiler's deterministic event total is exactly the number
-    // of events the engine dispatched while attached.
+    // of events the engine dispatched while it was installed.
     SweepRunner runner(1);
     auto jobs = gridJobs();
     jobs[0].config.hostProf = true;
