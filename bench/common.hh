@@ -4,42 +4,8 @@
  * the parallel sweep harness, and per-run observability capture so
  * one binary can print a whole paper figure.
  *
- * Common flags:
- *   --scale=N   footprint divisor vs the paper (default 32; 1 = paper)
- *   --seed=N    master seed (default 42)
- *   --jobs=N    concurrent simulations (default: hardware threads)
- *   --csv       also emit machine-readable CSV after each table
- *   --workload=X  restrict to one Table III abbreviation
- *
- * Observability flags:
- *   --trace=FILE    Chrome trace-event JSON of every run (Perfetto)
- *   --trace-all     enable the hot categories too (net, dca)
- *   --report=FILE   JSON run report (config, counters, percentiles)
- *   --samples=FILE  time-series CSV, one section per run
- *   --sample=N      sampling period in cycles (default 10000; 0 = off)
- *   --page-stats    per-page lifecycle telemetry; adds a "page_stats"
- *                   section to each report run (src/obs/pagestats.hh)
- *   --timeseries=N  event time-series with N-cycle intervals; adds a
- *                   "timeseries" section to each report run (0 = off)
- *   --host-prof[=FILE]  host-side self-profiling: attributes the
- *                   simulator's wall-clock time per component/event
- *                   type, adds a "host_profile" section to each report
- *                   run, prints a summary of all runs on stderr at
- *                   exit, and (with =FILE) writes the aggregated
- *                   folded stacks for flamegraph/speedscope
- *   --host-gate=N   warn (never fail) when the runs dispatched fewer
- *                   than N events/sec of host wall time; implies
- *                   --host-prof
- *   --progress      one-line sweep progress on stderr (done/total,
- *                   elapsed, ETA); auto-suppressed when stderr is not
- *                   a terminal
- *   --log=LEVEL     stderr log level: error|warn|info|trace
- *                   (log lines carry a [tick] prefix while a system runs)
- *
- * Chaos flags (fault injection, see src/sys/chaos.hh):
- *   --chaos=SPEC    inject faults: a bare rate ("0.01") or key=value
- *                   pairs ("dma=0.5,link=0.02,ack=0.2,timeout=200000")
- *   --chaos-seed=N  seed of the injector's private RNG streams
+ * Flags: the table in Options::fromArgs (`BENCH --help` prints it).
+ * Bad input exits 2 before any run starts (src/sys/cli.hh).
  *
  * Concurrency model: benches submit every independent run of a figure
  * to a bench::Sweep, which fans them out across --jobs worker threads
@@ -55,12 +21,13 @@
 #define GRIFFIN_BENCH_COMMON_HH
 
 #include <algorithm>
-#include <cerrno>
+#include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -75,6 +42,7 @@
 #include "src/obs/trace.hh"
 #include "src/sim/log.hh"
 #include "src/sys/chaos.hh"
+#include "src/sys/cli.hh"
 #include "src/sys/multi_gpu_system.hh"
 #include "src/sys/report.hh"
 #include "src/sys/sweep_runner.hh"
@@ -120,148 +88,94 @@ struct Options
     std::optional<sys::ChaosConfig> chaos;
 
     /**
-     * Parse @p flag's "=value" tail as an unsigned integer. Rejects
-     * non-numeric input, trailing garbage, overflow, and values
-     * outside [min, max] with a friendly message and exit code 2 —
-     * never an uncaught std::stoul throw.
-     */
-    static std::uint64_t
-    parseNum(const std::string &arg, std::size_t eq, const char *flag,
-             std::uint64_t min, std::uint64_t max)
-    {
-        const std::string text = arg.substr(eq);
-        errno = 0;
-        char *end = nullptr;
-        const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-        if (text.empty() || end != text.c_str() + text.size() ||
-            text[0] == '-' || errno == ERANGE || v < min || v > max) {
-            std::cerr << "error: " << flag << " wants an integer in ["
-                      << min << ", " << max << "], got '" << text
-                      << "'\n";
-            std::exit(2);
-        }
-        return v;
-    }
-
-    /**
-     * @param notes an optional bench-specific line appended to the
-     *        --help output — the place to declare flags this bench
-     *        pins or ignores (perf_gate pins scale/seed/sample, the
-     *        single-workload figures ignore --workload).
+     * Parse the common flags of the table below (src/sys/cli.hh);
+     * exit 0 after --help and 2 on bad input. @p notes is appended to
+     * --help: the place to declare flags this bench pins or ignores
+     * (perf_gate pins scale/seed/sample, fig01/fig10 ignore
+     * --workload).
      */
     static Options
     parse(int argc, char **argv, const char *notes = nullptr)
     {
+        // In sim::LogLevel order: a level's index is its enum value.
+        const std::vector<std::string> levels = {"error", "warn", "info",
+                                                 "trace"};
         Options opt;
-        std::string chaos_spec;
+        std::string log_level;
         std::optional<std::uint64_t> chaos_seed;
-        std::vector<std::string> seen;
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            // Every flag is single-shot except --workload, which
-            // accumulates a restriction list. A duplicate almost
-            // always means a sweep script silently overriding its own
-            // earlier value, so it is an error rather than
-            // last-one-wins.
-            const std::string key = arg.substr(0, arg.find('='));
-            if (key != "--workload" &&
-                std::find(seen.begin(), seen.end(), key) != seen.end()) {
-                std::cerr << "error: duplicate flag " << key
-                          << " (only --workload may repeat)\n";
-                std::exit(2);
-            }
-            seen.push_back(key);
-            if (arg.rfind("--scale=", 0) == 0) {
-                // 0 would divide every footprint by zero downstream.
-                opt.scaleDiv = unsigned(
-                    parseNum(arg, 8, "--scale", 1, 1u << 20));
-            } else if (arg.rfind("--seed=", 0) == 0) {
-                opt.seed = parseNum(arg, 7, "--seed", 0,
-                                    std::uint64_t(-1));
-            } else if (arg.rfind("--jobs=", 0) == 0) {
-                opt.jobs = unsigned(
-                    parseNum(arg, 7, "--jobs", 1, 1024));
-            } else if (arg == "--csv") {
-                opt.csv = true;
-            } else if (arg.rfind("--workload=", 0) == 0) {
-                opt.workloads.push_back(arg.substr(11));
-            } else if (arg.rfind("--trace=", 0) == 0) {
-                opt.traceFile = arg.substr(8);
-            } else if (arg == "--trace-all") {
-                opt.traceAllCategories = true;
-            } else if (arg.rfind("--report=", 0) == 0) {
-                opt.reportFile = arg.substr(9);
-            } else if (arg.rfind("--samples=", 0) == 0) {
-                opt.samplesFile = arg.substr(10);
-            } else if (arg.rfind("--sample=", 0) == 0) {
-                opt.samplePeriod = Tick(parseNum(arg, 9, "--sample", 0,
-                                                 std::uint64_t(-1)));
-            } else if (arg == "--page-stats") {
-                opt.pageStats = true;
-            } else if (arg.rfind("--timeseries=", 0) == 0) {
-                opt.timeseriesTick = Tick(parseNum(
-                    arg, 13, "--timeseries", 0, std::uint64_t(-1)));
-            } else if (arg == "--host-prof") {
-                opt.hostProf = true;
-            } else if (arg.rfind("--host-prof=", 0) == 0) {
-                opt.hostProf = true;
-                opt.hostProfFile = arg.substr(12);
-            } else if (arg == "--progress") {
-                opt.progress = true;
-            } else if (arg.rfind("--host-gate=", 0) == 0) {
-                opt.hostGateEventsPerSec = parseNum(
-                    arg, 12, "--host-gate", 1, std::uint64_t(-1));
-                opt.hostProf = true; // the gate needs the profiler
-            } else if (arg.rfind("--chaos=", 0) == 0) {
-                chaos_spec = arg.substr(8);
-            } else if (arg.rfind("--chaos-seed=", 0) == 0) {
-                chaos_seed = parseNum(arg, 13, "--chaos-seed", 0,
-                                      std::uint64_t(-1));
-            } else if (arg.rfind("--log=", 0) == 0) {
-                const std::string lvl = arg.substr(6);
-                if (lvl == "error")
-                    sim::Log::setLevel(sim::LogLevel::Error);
-                else if (lvl == "warn")
-                    sim::Log::setLevel(sim::LogLevel::Warn);
-                else if (lvl == "info")
-                    sim::Log::setLevel(sim::LogLevel::Info);
-                else if (lvl == "trace")
-                    sim::Log::setLevel(sim::LogLevel::Trace);
-                else
-                    std::cerr << "unknown log level '" << lvl
-                              << "' (error|warn|info|trace)\n";
-            } else if (arg == "--help" || arg == "-h") {
-                std::cout << "flags: --scale=N --seed=N --jobs=N --csv"
-                             " --workload=ABBV (repeatable)"
-                             " --trace=FILE [--trace-all]"
-                             " --report=FILE --samples=FILE"
-                             " --sample=N --page-stats --timeseries=N"
-                             " --host-prof[=FILE] --host-gate=N"
-                             " --progress --log=LEVEL"
-                             " --chaos=SPEC --chaos-seed=N\n";
-                if (notes)
-                    std::cout << "note: " << notes << "\n";
-                std::exit(0);
-            } else {
-                std::cerr << "warning: unrecognized flag '" << arg
-                          << "' ignored (see --help)\n";
-            }
-        }
-        if (!chaos_spec.empty()) {
-            auto cc = sys::ChaosConfig::parse(chaos_spec);
-            if (!cc) {
-                std::cerr << "error: malformed --chaos spec '"
-                          << chaos_spec
-                          << "' (a rate in [0,1] or key=value pairs; "
-                             "see --help)\n";
-                std::exit(2);
-            }
-            if (chaos_seed)
-                cc->seed = *chaos_seed;
-            opt.chaos = *cc;
-        } else if (chaos_seed) {
-            std::cerr << "warning: --chaos-seed without --chaos has no "
-                         "effect\n";
+        sys::cli::Parser flags(argv[0],
+                               notes ? std::string("note: ") + notes : "");
+        flags
+            .integer("--scale", opt.scaleDiv,
+                     "footprint divisor vs the paper (default 32)", 1,
+                     1u << 20)
+            .integer("--seed", opt.seed, "master seed (default 42)")
+            .integer("--jobs", opt.jobs,
+                     "concurrent runs (default: hardware threads)", 1, 1024)
+            .toggle("--csv", opt.csv, "also emit CSV after each table")
+            .choices("--workload", opt.workloads, wl::workloadNames(),
+                     "restrict to a Table III workload (default: all)")
+            .output("--trace", opt.traceFile,
+                    "Chrome trace-event JSON of every run (Perfetto)")
+            .toggle("--trace-all", opt.traceAllCategories,
+                    "trace the hot categories too (net, dca)")
+            .output("--report", opt.reportFile, "JSON run report")
+            .output("--samples", opt.samplesFile,
+                    "time-series CSV, one section per run")
+            .integer("--sample", opt.samplePeriod,
+                     "sampling period in cycles (default 10000; 0 = off)")
+            .toggle("--page-stats", opt.pageStats,
+                    "per-page lifecycle telemetry (report page_stats)")
+            .integer("--timeseries", opt.timeseriesTick,
+                     "event time-series interval in cycles (0 = off)")
+            .optionalValue(
+                "--host-prof", "FILE",
+                "host self-profile: report host_profile, a stderr "
+                "summary at exit, folded stacks to FILE",
+                [&opt](const std::string &file) {
+                    opt.hostProf = true;
+                    if (!file.empty())
+                        sys::cli::checkWritable("--host-prof", file);
+                    opt.hostProfFile = file;
+                })
+            .integer("--host-gate", opt.hostGateEventsPerSec,
+                     "warn below N host events/sec (implies --host-prof)", 1)
+            .toggle("--progress", opt.progress,
+                    "sweep progress on stderr when it is a terminal")
+            .choice("--log", log_level, levels,
+                    "stderr log level ([tick]-prefixed while a system runs)")
+            .custom("--chaos", "SPEC",
+                    "inject faults: a rate (\"0.01\") or key=value pairs "
+                    "(\"dma=0.5,link=0.02,timeout=200000\")",
+                    false,
+                    [&opt](const std::string &spec) {
+                        opt.chaos = sys::ChaosConfig::parse(spec);
+                        if (!opt.chaos) {
+                            throw sys::cli::UsageError(
+                                "malformed --chaos spec '" + spec +
+                                "' (a rate in [0,1] or key=value pairs)");
+                        }
+                    })
+            .integer("--chaos-seed", chaos_seed,
+                     "seed of the fault injector's private RNG streams");
+        bool parsed = false;
+        const int code = sys::cli::guard(argv[0], [&] {
+            flags.parse(argc, argv);
+            parsed = true;
+            return sys::cli::exitOk;
+        });
+        if (!parsed)
+            std::exit(code);
+        if (chaos_seed && opt.chaos)
+            opt.chaos->seed = *chaos_seed;
+        else if (chaos_seed)
+            std::cerr << "warning: --chaos-seed without --chaos has no effect\n";
+        if (opt.hostGateEventsPerSec > 0)
+            opt.hostProf = true; // the gate needs the profiler
+        if (!log_level.empty()) {
+            sim::Log::setLevel(sim::LogLevel(
+                std::find(levels.begin(), levels.end(), log_level) -
+                levels.begin()));
         }
         if (opt.workloads.empty())
             opt.workloads = wl::workloadNames();
@@ -305,15 +219,7 @@ policyName(const sys::SystemConfig &scfg)
 class ObsState
 {
   public:
-    explicit ObsState(const Options &opt)
-        : _traceFile(opt.traceFile), _reportFile(opt.reportFile),
-          _samplesFile(opt.samplesFile),
-          _hostProfFile(opt.hostProfFile), _hostProf(opt.hostProf),
-          _hostGateEventsPerSec(opt.hostGateEventsPerSec),
-          _categories(opt.traceAllCategories ? obs::allCategories
-                                             : obs::defaultCategories)
-    {
-    }
+    explicit ObsState(const Options &opt) : _opt(opt) {}
 
     ~ObsState()
     {
@@ -325,9 +231,9 @@ class ObsState
             if (slot.hostProfile.enabled)
                 host_total.merge(slot.hostProfile);
         }
-        if (_hostProf && host_total.enabled)
+        if (_opt.hostProf && host_total.enabled)
             printHostSummary(host_total);
-        if (!_traceFile.empty()) {
+        if (tracing()) {
             std::vector<const obs::TraceSession *> sessions;
             std::size_t events = 0;
             for (const Slot &slot : _slots) {
@@ -335,51 +241,58 @@ class ObsState
                 if (slot.trace)
                     events += slot.trace->eventCount();
             }
-            std::ofstream os(_traceFile);
-            obs::TraceSession::writeMerged(os, sessions);
-            std::cerr << "trace: " << _traceFile << " (" << events
-                      << " events)\n";
+            writeFile(_opt.traceFile,
+                      "trace: " + _opt.traceFile + " (" +
+                          std::to_string(events) + " events)",
+                      [&](std::ostream &os) {
+                          obs::TraceSession::writeMerged(os, sessions);
+                      });
         }
-        if (!_reportFile.empty()) {
+        if (!_opt.reportFile.empty()) {
             obs::json::Value runs = obs::json::Value::array();
             for (Slot &slot : _slots) {
                 if (slot.hasReport)
                     runs.push(std::move(slot.report));
             }
-            obs::json::Value doc = sys::reportDocument(std::move(runs));
-            std::ofstream os(_reportFile);
-            os << doc.dump(2) << "\n";
-            std::cerr << "report: " << _reportFile << "\n";
+            const obs::json::Value doc = sys::reportDocument(std::move(runs));
+            writeFile(_opt.reportFile, "report: " + _opt.reportFile,
+                      [&](std::ostream &os) { os << doc.dump(2) << "\n"; });
         }
-        if (!_samplesFile.empty()) {
+        if (!_opt.samplesFile.empty()) {
             std::string csv;
             for (const Slot &slot : _slots)
                 csv += slot.samplesCsv;
             if (csv.empty()) {
                 std::cerr << "samples: nothing sampled (is --sample=0?), "
-                          << "not writing " << _samplesFile << "\n";
+                          << "not writing " << _opt.samplesFile << "\n";
             } else {
-                std::ofstream os(_samplesFile);
-                os << csv;
-                std::cerr << "samples: " << _samplesFile << "\n";
+                writeFile(_opt.samplesFile, "samples: " + _opt.samplesFile,
+                          [&](std::ostream &os) { os << csv; });
             }
         }
-        if (!_hostProfFile.empty()) {
+        if (!_opt.hostProfFile.empty()) {
             if (!host_total.enabled) {
                 std::cerr << "host-prof: no runs were profiled, not "
-                          << "writing " << _hostProfFile << "\n";
+                          << "writing " << _opt.hostProfFile << "\n";
             } else {
-                std::ofstream os(_hostProfFile);
-                os << host_total.folded();
-                std::cerr << "host-prof: " << _hostProfFile << " ("
-                          << host_total.buckets.size() << " buckets, "
-                          << host_total.events << " dispatches)\n";
+                writeFile(_opt.hostProfFile,
+                          "host-prof: " + _opt.hostProfFile + " (" +
+                              std::to_string(host_total.buckets.size()) +
+                              " buckets, " +
+                              std::to_string(host_total.events) +
+                              " dispatches)",
+                          [&](std::ostream &os) { os << host_total.folded(); });
             }
         }
     }
 
-    bool tracing() const { return !_traceFile.empty(); }
-    std::uint32_t categories() const { return _categories; }
+    bool tracing() const { return !_opt.traceFile.empty(); }
+    std::uint32_t
+    categories() const
+    {
+        return _opt.traceAllCategories ? obs::allCategories
+                                       : obs::defaultCategories;
+    }
 
     /** Claim the next submission-ordered slot (main thread). */
     std::size_t
@@ -402,11 +315,11 @@ class ObsState
     {
         std::lock_guard<std::mutex> guard(_mu);
         Slot &s = _slots[slot];
-        if (!_reportFile.empty()) {
+        if (!_opt.reportFile.empty()) {
             s.report = sys::runReportJson(label, scfg, result, sampler);
             s.hasReport = true;
         }
-        if (!_samplesFile.empty() && sampler)
+        if (!_opt.samplesFile.empty() && sampler)
             s.samplesCsv = "# " + label + "\n" + sampler->csv();
         if (result.hostProfile.enabled)
             s.hostProfile = result.hostProfile;
@@ -414,6 +327,21 @@ class ObsState
     }
 
   private:
+    /**
+     * Write @p path through @p fill, then print @p done on stderr, or
+     * an error in its place when the write fails (a full disk, say).
+     */
+    static void
+    writeFile(const std::string &path, const std::string &done,
+              const std::function<void(std::ostream &)> &fill)
+    {
+        std::ofstream os(path);
+        fill(os);
+        os.close();
+        std::cerr << (os.fail() ? "error: writing " + path + " failed" : done)
+                  << "\n";
+    }
+
     struct Slot
     {
         obs::json::Value report;
@@ -423,10 +351,7 @@ class ObsState
         std::shared_ptr<obs::TraceSession> trace;
     };
 
-    std::string _traceFile, _reportFile, _samplesFile, _hostProfFile;
-    bool _hostProf;
-    std::uint64_t _hostGateEventsPerSec;
-    std::uint32_t _categories;
+    const Options _opt;
 
     std::mutex _mu;
     std::vector<Slot> _slots;
@@ -448,27 +373,19 @@ class ObsState
            << "% attributed, "
            << sys::Table::num(total.obsFraction() * 100.0, 1)
            << "% telemetry overhead\n";
-        std::vector<obs::HostProfile::Bucket> top = total.buckets;
-        std::sort(top.begin(), top.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.selfNs != b.selfNs ? a.selfNs > b.selfNs
-                                                  : a.name() < b.name();
-                  });
-        if (top.size() > 5)
-            top.resize(5);
         std::size_t shown = 0;
-        for (const auto &b : top) {
+        for (const auto &b : total.hottest(5)) {
             os << "  top" << ++shown << ": " << b.name() << "  "
                << sys::Table::num(double(b.selfNs) / 1e6, 1) << " ms ("
                << b.count << " events)\n";
         }
         std::cerr << os.str();
-        if (_hostGateEventsPerSec > 0 &&
-            total.eventsPerSec() < double(_hostGateEventsPerSec)) {
+        if (_opt.hostGateEventsPerSec > 0 &&
+            total.eventsPerSec() < double(_opt.hostGateEventsPerSec)) {
             std::cerr << "WARNING: host throughput "
                       << sys::Table::num(total.eventsPerSec(), 0)
                       << " events/sec below --host-gate="
-                      << _hostGateEventsPerSec
+                      << _opt.hostGateEventsPerSec
                       << " (soft gate: warning only)\n";
         }
     }
@@ -517,13 +434,10 @@ class Sweep
         const std::string &dim = std::string(),
         std::function<void(sys::MultiGpuSystem &)> setup = nullptr)
     {
-        bool known = false;
-        for (const auto &w : wl::workloadNames())
-            known = known || w == name;
-        if (!known) {
-            std::cerr << "unknown workload: " << name << "\n";
-            std::exit(1);
-        }
+        // --workload is validated when parsed; this guards the names
+        // benches pass themselves.
+        [[maybe_unused]] const auto known = wl::workloadNames();
+        assert(std::find(known.begin(), known.end(), name) != known.end());
 
         std::string label = name + "/" + policyName(scfg);
         if (!dim.empty())
@@ -612,28 +526,11 @@ class Sweep
         return _runner.run();
     }
 
-    unsigned workers() const { return _runner.workers(); }
-
   private:
     const Options &_opt;
     sys::SweepRunner _runner;
     ObsState &_obs;
 };
-
-/**
- * Run one workload on one system configuration, immediately. The
- * serial convenience wrapper over Sweep for benches whose next config
- * depends on the previous result; everything independent should batch
- * runs through a Sweep instead.
- */
-inline sys::RunResult
-runWorkload(const std::string &name, const sys::SystemConfig &scfg,
-            const Options &opt, const std::string &dim = std::string())
-{
-    Sweep sweep(opt);
-    sweep.add(name, scfg, dim);
-    return sweep.run().at(0);
-}
 
 /** Print a table, optionally followed by CSV. */
 inline void

@@ -42,10 +42,8 @@ main(int argc, char **argv)
     const std::vector<std::string> gateSet = {"MT", "BFS", "SC"};
     std::vector<std::string> selected;
     for (const auto &w : gateSet) {
-        bool wanted = false;
-        for (const auto &req : opt.workloads)
-            wanted = wanted || req == w;
-        if (wanted)
+        if (std::find(opt.workloads.begin(), opt.workloads.end(), w) !=
+            opt.workloads.end())
             selected.push_back(w);
     }
     // Options::parse defaults to all ten workloads; reduce to the

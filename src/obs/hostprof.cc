@@ -114,6 +114,18 @@ HostProfile::merge(const HostProfile &other)
                                  val.second});
 }
 
+std::vector<HostProfile::Bucket>
+HostProfile::hottest(std::size_t n) const
+{
+    std::vector<Bucket> top = buckets;
+    std::sort(top.begin(), top.end(), [](const Bucket &a, const Bucket &b) {
+        return a.selfNs != b.selfNs ? a.selfNs > b.selfNs
+                                    : a.name() < b.name();
+    });
+    top.resize(std::min(n, top.size()));
+    return top;
+}
+
 std::string
 HostProfile::folded() const
 {

@@ -116,6 +116,9 @@ struct HostProfile
      */
     void merge(const HostProfile &other);
 
+    /** The @p n buckets with the most self time (ties by name). */
+    std::vector<Bucket> hottest(std::size_t n) const;
+
     /**
      * Folded-stack rendering, one "component;event selfNs" line per
      * bucket, consumable by flamegraph.pl / speedscope.

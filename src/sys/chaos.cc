@@ -2,7 +2,10 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <vector>
+
+#include "src/sys/cli.hh"
 
 namespace griffin::sys {
 
@@ -55,27 +58,15 @@ parseRate(const std::string &text, double &out)
     return parseDouble(text, out) && out >= 0.0 && out <= 1.0;
 }
 
+/** An integer in the front ends' grammar (sys/cli.hh) that fits @p out. */
+template <typename T>
 bool
-parseTick(const std::string &text, Tick &out)
+parseUint(const std::string &text, T &out)
 {
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (text.empty() || text[0] == '-' ||
-        end != text.c_str() + text.size() || errno == ERANGE) {
+    const auto v = cli::toUint(text);
+    if (!v || *v > std::numeric_limits<T>::max())
         return false;
-    }
-    out = Tick(v);
-    return true;
-}
-
-bool
-parseUnsigned(const std::string &text, unsigned &out)
-{
-    Tick v = 0;
-    if (!parseTick(text, v) || v > 0xffffffffull)
-        return false;
-    out = unsigned(v);
+    out = T(*v);
     return true;
 }
 
@@ -111,30 +102,30 @@ ChaosConfig::parse(const std::string &spec)
         } else if (t.key == "walker") {
             ok = parseRate(t.value, cfg.walkerStallRate);
         } else if (t.key == "retrydelay") {
-            ok = parseTick(t.value, cfg.linkRetryDelay);
+            ok = parseUint(t.value, cfg.linkRetryDelay);
         } else if (t.key == "maxnacks") {
-            ok = parseUnsigned(t.value, cfg.linkMaxRetries);
+            ok = parseUint(t.value, cfg.linkMaxRetries);
         } else if (t.key == "window") {
-            ok = parseTick(t.value, cfg.linkDegradeDuration);
+            ok = parseUint(t.value, cfg.linkDegradeDuration);
         } else if (t.key == "factor") {
             ok = parseDouble(t.value, cfg.linkDegradeFactor) &&
                  cfg.linkDegradeFactor > 0.0 &&
                  cfg.linkDegradeFactor <= 1.0;
         } else if (t.key == "retries") {
-            ok = parseUnsigned(t.value, cfg.dmaMaxRetries);
+            ok = parseUint(t.value, cfg.dmaMaxRetries);
         } else if (t.key == "backoff") {
-            ok = parseTick(t.value, cfg.dmaRetryBackoff);
+            ok = parseUint(t.value, cfg.dmaRetryBackoff);
         } else if (t.key == "timeout") {
-            ok = parseTick(t.value, cfg.migrationTimeout);
+            ok = parseUint(t.value, cfg.migrationTimeout);
         } else if (t.key == "ackto") {
-            ok = parseTick(t.value, cfg.shootdownAckTimeout) &&
+            ok = parseUint(t.value, cfg.shootdownAckTimeout) &&
                  cfg.shootdownAckTimeout > 0;
         } else if (t.key == "reissues") {
-            ok = parseUnsigned(t.value, cfg.shootdownMaxReissues);
+            ok = parseUint(t.value, cfg.shootdownMaxReissues);
         } else if (t.key == "stall") {
-            ok = parseTick(t.value, cfg.walkerStallPenalty);
+            ok = parseUint(t.value, cfg.walkerStallPenalty);
         } else if (t.key == "audit") {
-            ok = parseTick(t.value, cfg.auditPeriod);
+            ok = parseUint(t.value, cfg.auditPeriod);
         }
         if (!ok)
             return std::nullopt;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <cstdlib>
 #include <map>
 
@@ -25,46 +24,25 @@ deltaPercent(double ref, double cur)
 }
 
 /**
- * The "runs" of a report document, keyed by label. A duplicate label
- * is fatal: the comparison would silently match an arbitrary one of
- * the duplicates, so the caller must refuse to produce a verdict.
+ * The runs of @p doc keyed by label, its errors recorded against
+ * @p which. Version skew only warns: the known numbers still compare.
  */
 std::map<std::string, const obs::json::Value *>
-runsByLabel(const obs::json::Value &doc, std::vector<std::string> &errors,
-            bool &fatal, const char *which)
+runsByLabel(const obs::json::Value &doc, CompareResult &result,
+            const char *which)
 {
+    const std::string skew = reportSchemaWarning(doc);
+    if (!skew.empty()) {
+        result.warnings.push_back(std::string(which) + ": " + skew +
+                                  " — unknown sections are ignored");
+    }
+    const ReportRuns runs = reportRuns(doc);
+    for (const std::string &e : runs.errors)
+        result.errors.push_back(std::string(which) + ": " + e);
+    result.fatal = result.fatal || runs.duplicate;
     std::map<std::string, const obs::json::Value *> out;
-    const obs::json::Value *runs = &doc;
-    if (doc.kind() == obs::json::Value::Kind::Object) {
-        if (const obs::json::Value *r = doc.find("runs")) {
-            runs = r;
-        } else if (doc.find("label")) {
-            // A bare single-run object.
-            out.emplace(doc.find("label")->asString(), &doc);
-            return out;
-        }
-    }
-    if (runs->kind() != obs::json::Value::Kind::Array) {
-        errors.push_back(std::string(which) +
-                         ": no \"runs\" array in report document");
-        return out;
-    }
-    for (std::size_t i = 0; i < runs->size(); ++i) {
-        const obs::json::Value &run = runs->at(i);
-        const obs::json::Value *label = run.find("label");
-        if (!label) {
-            errors.push_back(std::string(which) + ": run " +
-                             std::to_string(i) + " has no label");
-            continue;
-        }
-        if (!out.emplace(label->asString(), &run).second) {
-            errors.push_back(std::string(which) + ": duplicate run label \"" +
-                             label->asString() +
-                             "\" — labels must be unique within a report "
-                             "(add a config dim to the sweep labels)");
-            fatal = true;
-        }
-    }
+    for (const ReportRun &r : runs.runs)
+        out.emplace(r.label, r.run);
     return out;
 }
 
@@ -94,22 +72,6 @@ flattenNumbers(const obs::json::Value &node, const std::string &prefix,
             break;
         }
     }
-}
-
-/**
- * The document's schema_version as written (absent field = 1, the
- * pre-versioning shape). Non-object / non-numeric degenerate inputs
- * also read as 1: the runs parser reports those separately.
- */
-std::uint64_t
-schemaVersionOf(const obs::json::Value &doc)
-{
-    if (doc.kind() != obs::json::Value::Kind::Object)
-        return 1;
-    const obs::json::Value *v = doc.find("schema_version");
-    if (!v || v->kind() != obs::json::Value::Kind::Number)
-        return 1;
-    return std::uint64_t(v->asNumber());
 }
 
 } // namespace
@@ -216,31 +178,8 @@ compareReports(const obs::json::Value &ref, const obs::json::Value &cur,
 {
     CompareResult result;
 
-    // A report written by a newer (or older) library may carry
-    // sections this comparer does not understand; the numbers it does
-    // know still compare fine, so version skew warns instead of
-    // failing the gate.
-    const auto warn_version = [&result](const obs::json::Value &doc,
-                                        const char *which) {
-        const std::uint64_t version = schemaVersionOf(doc);
-        // Every version so far is additive, so any known version pair
-        // (v2 references vs v3 reports, say) diffs cleanly; only a
-        // version this build has never heard of merits an advisory.
-        if (!knownReportSchemaVersion(version)) {
-            result.warnings.push_back(
-                std::string(which) + ": report schema_version " +
-                std::to_string(version) + " > known " +
-                std::to_string(reportSchemaVersion) +
-                " — unknown sections are ignored");
-        }
-    };
-    warn_version(ref, "reference");
-    warn_version(cur, "current");
-
-    const auto ref_runs =
-        runsByLabel(ref, result.errors, result.fatal, "reference");
-    const auto cur_runs =
-        runsByLabel(cur, result.errors, result.fatal, "current");
+    const auto ref_runs = runsByLabel(ref, result, "reference");
+    const auto cur_runs = runsByLabel(cur, result, "current");
     if (!result.errors.empty())
         result.pass = false;
     if (result.fatal)

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <iomanip>
 #include <ostream>
+#include <set>
 #include <sstream>
 
 #include "src/obs/sampler.hh"
@@ -111,12 +112,6 @@ Table::csv() const
     for (const auto &row : _rows)
         emit(row);
     return os.str();
-}
-
-void
-Table::print(std::ostream &os) const
-{
-    os << str();
 }
 
 obs::json::Value
@@ -468,6 +463,59 @@ reportDocument(obs::json::Value runs)
     doc["schema_version"] = reportSchemaVersion;
     doc["runs"] = std::move(runs);
     return doc;
+}
+
+std::string
+reportSchemaWarning(const obs::json::Value &doc)
+{
+    const obs::json::Value *v = doc.find("schema_version");
+    const std::uint64_t version =
+        v && v->kind() == obs::json::Value::Kind::Number
+            ? std::uint64_t(v->asNumber())
+            : 1;
+    if (knownReportSchemaVersion(version))
+        return "";
+    return "report schema_version " + std::to_string(version) +
+           " > known " + std::to_string(reportSchemaVersion);
+}
+
+ReportRuns
+reportRuns(const obs::json::Value &doc)
+{
+    ReportRuns out;
+    std::set<std::string> seen;
+    const obs::json::Value *runs = doc.find("runs");
+    if (!runs) {
+        if (const obs::json::Value *label = doc.find("label")) {
+            out.runs.push_back({label->asString(), &doc});
+            return out;
+        }
+        runs = &doc;
+    }
+    if (runs->kind() != obs::json::Value::Kind::Array) {
+        out.errors.push_back("no \"runs\" array in report document");
+        return out;
+    }
+    for (std::size_t i = 0; i < runs->size(); ++i) {
+        const obs::json::Value &run = runs->at(i);
+        const obs::json::Value *label = run.find("label");
+        if (!label) {
+            out.errors.push_back("run " + std::to_string(i) +
+                                 " has no label");
+            continue;
+        }
+        const std::string &name = label->asString();
+        if (!seen.insert(name).second) {
+            out.errors.push_back("duplicate run label \"" + name +
+                                 "\" — labels must be unique within a "
+                                 "report (add a config dim to the sweep "
+                                 "labels)");
+            out.duplicate = true;
+            continue;
+        }
+        out.runs.push_back({name, &run});
+    }
+    return out;
 }
 
 std::string

@@ -10,7 +10,6 @@
 #define GRIFFIN_SYS_REPORT_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
@@ -63,9 +62,6 @@ class Table
     /** Render as CSV (comma-separated, header first). */
     std::string csv() const;
 
-    /** Print str() to @p os. */
-    void print(std::ostream &os) const;
-
   private:
     std::vector<std::string> _header;
     std::vector<std::vector<std::string>> _rows;
@@ -87,8 +83,8 @@ std::string asciiBar(double value, double max_value, int width = 40);
  *    per-run page_stats / timeseries sections.
  *  - 3: adds the optional per-run host_profile section (deterministic
  *    "counts" plus the nondeterministic, warn-only "host" subtree).
- * Consumers (sys::compare, griffin-compare, griffin-pages) warn — not
- * fail — on a version they do not know.
+ * Consumers (sys::compare and every griffin-* report reader) warn —
+ * not fail — on a version they do not know.
  */
 inline constexpr std::uint64_t reportSchemaVersion = 3;
 
@@ -146,6 +142,35 @@ obs::json::Value runReportJson(const std::string &label,
  * so the version stamp cannot be forgotten.
  */
 obs::json::Value reportDocument(obs::json::Value runs);
+
+/**
+ * "report schema_version N > known M" when @p doc carries a version
+ * this build does not know (an absent field is 1), else "".
+ */
+std::string reportSchemaWarning(const obs::json::Value &doc);
+
+/** One labelled run of a report document. */
+struct ReportRun
+{
+    std::string label;
+    const obs::json::Value *run = nullptr;
+};
+
+/** The runs of a report document and what was wrong with them. */
+struct ReportRuns
+{
+    std::vector<ReportRun> runs; ///< document order; a repeat only once
+    std::vector<std::string> errors; ///< no "runs" array, bad labels
+    /** A label repeats: matching runs by label would be ambiguous. */
+    bool duplicate = false;
+};
+
+/**
+ * Enumerate the runs of a report document: its "runs" array, a bare
+ * single-run object (one with a "label"), or a top-level array. The
+ * pointers point into @p doc.
+ */
+ReportRuns reportRuns(const obs::json::Value &doc);
 
 /** @} */
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -7,6 +8,7 @@
 
 namespace {
 
+using griffin::bench::ObsState;
 using griffin::bench::Options;
 
 /** Run Options::parse over a flag list (argv[0] is synthesized). */
@@ -78,6 +80,64 @@ TEST(OptionsDeathTest, OutOfRangeValueExitsWithUsageError)
     // scale=0 would divide every workload footprint by zero.
     EXPECT_EXIT(parseFlags({"--scale=0"}),
                 ::testing::ExitedWithCode(2), "--scale wants an integer");
+}
+
+TEST(Options, ValueFlagsAlsoTakeTheSpaceForm)
+{
+    const Options opt = parseFlags({"--scale", "64", "--workload", "MT"});
+    EXPECT_EQ(opt.scaleDiv, 64u);
+    ASSERT_EQ(opt.workloads.size(), 1u);
+    EXPECT_EQ(opt.workloads[0], "MT");
+}
+
+TEST(OptionsDeathTest, UnknownFlagExitsWithUsageError)
+{
+    EXPECT_EXIT(parseFlags({"--bogus"}), ::testing::ExitedWithCode(2),
+                "unknown flag --bogus");
+}
+
+TEST(OptionsDeathTest, UnknownWorkloadExitsBeforeAnyRun)
+{
+    EXPECT_EXIT(parseFlags({"--workload=NOPE"}),
+                ::testing::ExitedWithCode(2), "--workload wants one of");
+}
+
+TEST(OptionsDeathTest, UnknownLogLevelExitsWithUsageError)
+{
+    EXPECT_EXIT(parseFlags({"--log=bogus"}), ::testing::ExitedWithCode(2),
+                "--log wants one of error\\|warn\\|info\\|trace");
+}
+
+TEST(OptionsDeathTest, UnwritableOutputExitsWithUsageError)
+{
+    for (const char *flag : {"--report", "--trace", "--samples",
+                             "--host-prof"}) {
+        EXPECT_EXIT(
+            parseFlags({std::string(flag) + "=/nonexistent/dir/out"}),
+            ::testing::ExitedWithCode(2),
+            std::string(flag) + ": cannot open '/nonexistent/dir/out'")
+            << flag;
+    }
+}
+
+TEST(OptionsDeathTest, HelpExitsZero)
+{
+    EXPECT_EXIT(parseFlags({"--help"}), ::testing::ExitedWithCode(0), "");
+}
+
+TEST(ObsState, FailedWriteAtExitPrintsAnErrorNotTheSuccessLine)
+{
+    if (!std::ofstream("/dev/full"))
+        GTEST_SKIP() << "no /dev/full to fail writes";
+    Options opt;
+    opt.reportFile = "/dev/full";
+    testing::internal::CaptureStderr();
+    { ObsState state(opt); } // writes the (empty) report at destruction
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("error: writing /dev/full failed"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(err.find("report: /dev/full"), std::string::npos) << err;
 }
 
 } // namespace

@@ -236,6 +236,17 @@ TEST(HostProfile, MergeSumsBucketsAndRestoresOrder)
     EXPECT_FALSE(still.enabled);
 }
 
+TEST(HostProfile, HottestRanksBySelfTimeThenName)
+{
+    HostProfile p;
+    p.buckets = {{"a", "x", 1, 10}, {"b", "y", 1, 30}, {"c", "z", 1, 10}};
+    const auto top = p.hottest(2);
+    ASSERT_EQ(top.size(), 2u);
+    EXPECT_EQ(top[0].name(), "b;y");
+    EXPECT_EQ(top[1].name(), "a;x");
+    EXPECT_EQ(p.hottest(9).size(), 3u);
+}
+
 TEST(HostProfile, FoldedRoundTripsThroughParse)
 {
     HostProfile p;

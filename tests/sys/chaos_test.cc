@@ -86,6 +86,12 @@ TEST(ChaosConfig, MalformedSpecsAreRejected)
     EXPECT_FALSE(ChaosConfig::parse("factor=0").has_value());
     EXPECT_FALSE(ChaosConfig::parse("factor=2").has_value());
     EXPECT_FALSE(ChaosConfig::parse("dma=0.1,,link=0.1").has_value());
+    // Integer keys follow the front ends' grammar: no sign, no blanks,
+    // and a value must fit its field.
+    EXPECT_FALSE(ChaosConfig::parse("timeout=+5").has_value());
+    EXPECT_FALSE(ChaosConfig::parse("timeout= 5").has_value());
+    EXPECT_FALSE(ChaosConfig::parse("retries=4294967296").has_value());
+    EXPECT_EQ(ChaosConfig::parse("timeout=0x10")->migrationTimeout, 16u);
 }
 
 TEST(FaultInjectorTest, SameSeedSameDecisionStream)

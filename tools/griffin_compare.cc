@@ -1,142 +1,73 @@
 /**
  * @file
- * griffin-compare: diff two JSON run reports and gate on regressions.
+ * griffin-compare: diff two JSON run reports and gate on regressions
+ * (flags: --help). Host-time metrics such as host_events_per_sec are
+ * warn-only even under --fail-on. With no --fail-on the tool only
+ * prints drift, and still fails on mismatched run sets.
  *
- *   griffin-compare REF.json CUR.json
- *       [--fail-on METRIC:[+|-]P%]... [--warn-on METRIC:[+|-]P%]...
- *       [--verdict=FILE] [--csv] [--quiet]
- *
- * --warn-on thresholds report a breach as a warning without failing
- * the gate (host-time metrics like host_events_per_sec are warn-only
- * even under --fail-on). --csv renders the checks as RFC-4180 CSV
- * instead of the aligned text (drift stays on stdout as text).
- *
- * Exit status: 0 every check passed, 1 a check or run matching
- * failed, 2 usage / IO / parse error or an invalid comparison (e.g.
- * duplicate run labels in a report — there is no way to tell which
- * pair was compared). With no --fail-on, the tool only prints drift
- * (and still fails on mismatched run sets).
+ * Exit status follows the shared contract (src/sys/cli.hh): 1 is a
+ * failed check or run matching; an invalid comparison (duplicate run
+ * labels: there is no way to tell which pair was compared) is 2.
  */
 
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/obs/json.hh"
+#include "src/sys/cli.hh"
 #include "src/sys/compare.hh"
-#include "src/sys/report.hh"
 
 namespace {
 
-std::optional<griffin::obs::json::Value>
-loadReport(const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is) {
-        std::cerr << "griffin-compare: cannot open " << path << "\n";
-        return std::nullopt;
-    }
-    std::ostringstream text;
-    text << is.rdbuf();
-    auto doc = griffin::obs::json::Value::parse(text.str());
-    if (!doc)
-        std::cerr << "griffin-compare: " << path << ": parse error\n";
-    return doc;
-}
-
-void
-usage()
-{
-    std::cerr << "usage: griffin-compare REF.json CUR.json"
-                 " [--fail-on METRIC:[+|-]P%]..."
-                 " [--warn-on METRIC:[+|-]P%]..."
-                 " [--verdict=FILE] [--csv] [--quiet]\n"
-                 "  e.g. griffin-compare ref.json cur.json"
-                 " --fail-on fault_p95:+5% --fail-on cycles:+3%\n";
-}
-
-} // namespace
+using namespace griffin;
 
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
-    using namespace griffin;
-
-    std::vector<std::string> files;
+    std::string refFile, curFile, verdictFile;
     std::vector<sys::Threshold> thresholds;
-    std::string verdictFile;
     bool quiet = false;
     bool csv = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        std::string spec;
-        bool warn_only = false;
-        if (arg == "--fail-on" && i + 1 < argc) {
-            spec = argv[++i];
-        } else if (arg.rfind("--fail-on=", 0) == 0) {
-            spec = arg.substr(10);
-        } else if (arg == "--warn-on" && i + 1 < argc) {
-            spec = argv[++i];
-            warn_only = true;
-        } else if (arg.rfind("--warn-on=", 0) == 0) {
-            spec = arg.substr(10);
-            warn_only = true;
-        } else if (arg == "--csv") {
-            csv = true;
-            continue;
-        } else if (arg.rfind("--verdict=", 0) == 0) {
-            verdictFile = arg.substr(10);
-            continue;
-        } else if (arg == "--quiet" || arg == "-q") {
-            quiet = true;
-            continue;
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "griffin-compare: unknown flag " << arg << "\n";
-            usage();
-            return 2;
-        } else {
-            files.push_back(arg);
-            continue;
-        }
-        auto t = sys::parseThreshold(spec);
-        if (!t) {
-            std::cerr << "griffin-compare: bad threshold \"" << spec
-                      << "\" (want METRIC:[+|-]P%)\n";
-            return 2;
-        }
-        t->warnOnly = warn_only;
-        thresholds.push_back(std::move(*t));
-    }
+    const auto threshold = [&thresholds](bool warnOnly) {
+        return [&thresholds, warnOnly](const std::string &spec) {
+            auto t = sys::parseThreshold(spec);
+            if (!t) {
+                throw sys::cli::UsageError("bad threshold \"" + spec +
+                                           "\" (want METRIC:[+|-]P%)");
+            }
+            t->warnOnly = warnOnly;
+            thresholds.push_back(std::move(*t));
+        };
+    };
+    sys::cli::Parser flags(
+        "griffin-compare",
+        "e.g. griffin-compare ref.json cur.json --fail-on cycles:0% "
+        "--fail-on fault_p95:+5%");
+    flags.positional("REF.json", refFile, "the reference report")
+        .positional("CUR.json", curFile, "the report under test")
+        .custom("--fail-on", "METRIC:[+|-]P%",
+                "fail when METRIC drifts beyond P% (+ up only, - down only)",
+                true, threshold(false))
+        .custom("--warn-on", "METRIC:[+|-]P%",
+                "like --fail-on, but a breach only warns", true,
+                threshold(true))
+        .output("--verdict", verdictFile, "machine-readable JSON verdict")
+        .toggle("--csv", csv, "print the checks as CSV (drift stays text)")
+        .toggle("--quiet", quiet, "print nothing; exit status only", "-q");
+    flags.parse(argc, argv);
 
-    if (files.size() != 2) {
-        usage();
-        return 2;
-    }
-
-    const auto ref = loadReport(files[0]);
-    const auto cur = loadReport(files[1]);
-    if (!ref || !cur)
-        return 2;
-
-    const sys::CompareResult result =
-        sys::compareReports(*ref, *cur, thresholds);
+    const sys::CompareResult result = sys::compareReports(
+        sys::cli::loadJson(refFile), sys::cli::loadJson(curFile),
+        thresholds);
 
     if (!verdictFile.empty()) {
         std::ofstream os(verdictFile);
-        if (!os) {
-            std::cerr << "griffin-compare: cannot write " << verdictFile
-                      << "\n";
-            return 2;
-        }
         os << result.verdictJson().dump(2) << "\n";
+        if (!os)
+            throw sys::cli::UsageError("cannot write " + verdictFile);
     }
 
     if (!quiet) {
@@ -192,6 +123,15 @@ main(int argc, char **argv)
     }
 
     if (result.fatal)
-        return 2;
-    return result.pass ? 0 : 1;
+        return sys::cli::exitUsage;
+    return result.pass ? sys::cli::exitOk : sys::cli::exitFinding;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return griffin::sys::cli::guard("griffin-compare",
+                                    [&] { return run(argc, argv); });
 }

@@ -2,92 +2,31 @@
  * @file
  * griffin-fuzz: randomized differential testing for the simulator.
  *
- *   griffin-fuzz [--seeds=N] [--seed=S] [--jobs=N] [--batch=K]
- *                [--duration=SECS] [--shrink] [--pin=KNOB[,KNOB...]]
- *                [--corpus] [--list-knobs] [--describe] [--quiet]
- *
  * Draws one scenario per seed (sys/scenario_gen.hh), runs each under
  * every invariant oracle plus the --jobs=1 vs --jobs=N vs
  * reference-scheduler differentials (sys/oracle.hh), and prints a
  * one-line repro command for every failure. Seeds run in batches of
  * --batch so the parallel differential actually exercises concurrent
- * sweeps.
+ * sweeps. Flags: --help.
  *
- *  --seeds=N      seeds to run (default 16), starting at --seed
- *  --seed=S       first seed (default 1; 0x-prefixed hex accepted)
- *  --jobs=N       worker threads for the parallel differential
- *  --duration=S   keep fuzzing fresh seeds until S wall seconds pass
- *                 (overrides --seeds as the stop condition)
- *  --shrink       after a failure, pin knobs to defaults one at a
- *                 time and keep each pin that preserves the failure;
- *                 prints the minimized repro
- *  --pin=A,B      pin the named knobs to defaults up front (replay of
- *                 a shrunk repro)
- *  --corpus       run the 16 pinned corpus seeds instead of a range
- *  --describe     print each scenario without running it
- *  --list-knobs   print the shrinkable knob names
- *
- * Exit status: 0 all scenarios clean, 1 at least one oracle finding,
- * 2 usage error.
+ * Exit status follows the shared contract (src/sys/cli.hh); the
+ * finding (1) is at least one failing scenario.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/sys/cli.hh"
 #include "src/sys/oracle.hh"
 #include "src/sys/scenario_gen.hh"
 
 namespace {
-
-void
-usage()
-{
-    std::cerr
-        << "usage: griffin-fuzz [--seeds=N] [--seed=S] [--jobs=N]"
-           " [--batch=K] [--duration=SECS]\n"
-           "                    [--shrink] [--pin=KNOB[,KNOB...]]"
-           " [--corpus] [--describe]\n"
-           "                    [--list-knobs] [--quiet]\n"
-           "  e.g. griffin-fuzz --seeds=200 --jobs=8\n"
-           "       griffin-fuzz --seed=0x2a --seeds=1 --shrink\n";
-}
-
-std::uint64_t
-parseNum(const std::string &flag, const std::string &text)
-{
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 0);
-    if (end == text.c_str() || *end != '\0') {
-        std::cerr << "griffin-fuzz: bad value for " << flag << ": \""
-                  << text << "\"\n";
-        std::exit(2);
-    }
-    return v;
-}
-
-std::vector<std::string>
-splitList(const std::string &text)
-{
-    std::vector<std::string> out;
-    std::size_t from = 0;
-    while (from <= text.size()) {
-        const std::size_t comma = text.find(',', from);
-        const std::size_t to =
-            comma == std::string::npos ? text.size() : comma;
-        if (to > from)
-            out.push_back(text.substr(from, to - from));
-        if (comma == std::string::npos)
-            break;
-        from = comma + 1;
-    }
-    return out;
-}
 
 void
 printFailure(const griffin::sys::ScenarioVerdict &verdict)
@@ -144,10 +83,8 @@ shrinkSeed(std::uint64_t seed, std::vector<std::string> pinned,
     std::printf("        %s\n", scenario.describe().c_str());
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace griffin;
 
@@ -159,126 +96,104 @@ main(int argc, char **argv)
     bool corpus = false;
     bool describeOnly = false;
     bool quiet = false;
+    bool listKnobs = false;
     std::vector<std::string> pinned;
     sys::FuzzOptions options;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&arg](const char *prefix) {
-            return arg.substr(std::string(prefix).size());
-        };
-        if (arg.rfind("--seeds=", 0) == 0) {
-            seeds = parseNum("--seeds", value("--seeds="));
-        } else if (arg.rfind("--seed=", 0) == 0) {
-            firstSeed = parseNum("--seed", value("--seed="));
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            options.jobs =
-                unsigned(parseNum("--jobs", value("--jobs=")));
-        } else if (arg.rfind("--batch=", 0) == 0) {
-            batch = parseNum("--batch", value("--batch="));
-            if (batch == 0) {
-                std::cerr << "griffin-fuzz: --batch must be > 0\n";
-                return 2;
-            }
-        } else if (arg.rfind("--duration=", 0) == 0) {
-            durationSecs =
-                parseNum("--duration", value("--duration="));
-        } else if (arg.rfind("--pin=", 0) == 0) {
-            for (const std::string &knob :
-                 splitList(value("--pin="))) {
-                if (!sys::isScenarioKnob(knob)) {
-                    std::cerr << "griffin-fuzz: unknown knob \""
-                              << knob << "\" (see --list-knobs)\n";
-                    return 2;
-                }
-                pinned.push_back(knob);
-            }
-        } else if (arg == "--shrink") {
-            shrink = true;
-        } else if (arg == "--corpus") {
-            corpus = true;
-        } else if (arg == "--describe") {
-            describeOnly = true;
-        } else if (arg == "--quiet" || arg == "-q") {
-            quiet = true;
-        } else if (arg == "--list-knobs") {
-            for (const std::string &knob : sys::scenarioKnobs())
-                std::cout << knob << "\n";
-            return 0;
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else {
-            std::cerr << "griffin-fuzz: unknown flag " << arg << "\n";
-            usage();
-            return 2;
-        }
+    sys::cli::Parser flags(
+        "griffin-fuzz",
+        "e.g. griffin-fuzz --seeds=200 --jobs=8\n"
+        "     griffin-fuzz --seed=0x2a --seeds=1 --shrink");
+    flags.integer("--seeds", seeds, "seeds to run (default 16)")
+        .integer("--seed", firstSeed,
+                 "first seed (default 1; decimal or 0x hex)")
+        .integer("--jobs", options.jobs,
+                 "workers of the parallel differential (default 8)", 1, 1024)
+        .integer("--batch", batch, "seeds per batch (default 16)", 1,
+                 1u << 16)
+        .integer("--duration", durationSecs,
+                 "keep drawing fresh seeds for N wall seconds (overrides "
+                 "--seeds as the stop condition)",
+                 0, 1u << 30)
+        .custom("--pin", "KNOB[,KNOB...]",
+                "pin knobs to their defaults (replay a shrunk repro)", true,
+                [&pinned](const std::string &list) {
+                    std::istringstream knobs(list);
+                    for (std::string knob; std::getline(knobs, knob, ',');) {
+                        if (knob.empty())
+                            continue;
+                        if (!sys::isScenarioKnob(knob)) {
+                            throw sys::cli::UsageError(
+                                "unknown knob \"" + knob +
+                                "\" (see --list-knobs)");
+                        }
+                        pinned.push_back(knob);
+                    }
+                })
+        .toggle("--shrink", shrink,
+                "pin knobs one at a time, keeping each pin that preserves "
+                "a failure; prints the minimized repro")
+        .toggle("--corpus", corpus, "run the 16 pinned corpus seeds")
+        .toggle("--describe", describeOnly, "print the scenarios, run none")
+        .toggle("--list-knobs", listKnobs, "print the shrinkable knobs")
+        .toggle("--quiet", quiet, "no per-batch progress lines", "-q");
+    flags.parse(argc, argv);
+    if (listKnobs) {
+        for (const std::string &knob : sys::scenarioKnobs())
+            std::cout << knob << "\n";
+        return 0;
     }
 
-    // Assemble the seed schedule. --duration keeps drawing fresh
-    // seeds past the schedule until the wall budget runs out.
-    std::vector<std::uint64_t> schedule;
-    if (corpus) {
-        schedule = sys::fuzzCorpusSeeds();
-    } else {
-        for (std::uint64_t s = 0; s < seeds; ++s)
-            schedule.push_back(firstSeed + s);
-    }
+    // The i-th seed: the corpus or the --seed/--seeds range first, then
+    // (under --duration) fresh seeds past the range, drawn on demand.
+    const std::vector<std::uint64_t> corpusSeeds = sys::fuzzCorpusSeeds();
+    const std::uint64_t scheduled = corpus ? corpusSeeds.size() : seeds;
+    const auto seedAt = [&](std::uint64_t i) {
+        if (!corpus)
+            return firstSeed + i;
+        return i < scheduled ? corpusSeeds[i]
+                             : firstSeed + seeds + (i - scheduled);
+    };
 
     if (describeOnly) {
-        for (const std::uint64_t seed : schedule) {
-            const auto sc = sys::makeScenario(seed, pinned);
+        for (std::uint64_t i = 0; i < scheduled; ++i) {
+            const auto sc = sys::makeScenario(seedAt(i), pinned);
             std::printf("seed=0x%llx %s\n",
-                        static_cast<unsigned long long>(seed),
+                        static_cast<unsigned long long>(sc.seed),
                         sc.describe().c_str());
         }
         return 0;
     }
 
-    const auto start = std::chrono::steady_clock::now();
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::seconds(durationSecs);
     const auto expired = [&] {
-        if (durationSecs == 0)
-            return false;
-        return std::chrono::steady_clock::now() - start >=
-               std::chrono::seconds(durationSecs);
+        return durationSecs > 0 && std::chrono::steady_clock::now() >= deadline;
     };
 
     std::uint64_t ran = 0;
-    std::uint64_t failed = 0;
     std::vector<std::uint64_t> failingSeeds;
-    std::size_t cursor = 0;
-    std::uint64_t nextFresh = firstSeed + seeds;
+    std::uint64_t next = 0;
 
-    while (cursor < schedule.size() || (durationSecs > 0 && !expired())) {
+    while (next < scheduled || (durationSecs > 0 && !expired())) {
         std::vector<sys::Scenario> scenarios;
-        while (scenarios.size() < batch) {
-            std::uint64_t seed;
-            if (cursor < schedule.size()) {
-                seed = schedule[cursor++];
-            } else if (durationSecs > 0) {
-                seed = nextFresh++;
-            } else {
-                break;
-            }
-            scenarios.push_back(sys::makeScenario(seed, pinned));
-        }
-        if (scenarios.empty())
-            break;
+        while (scenarios.size() < batch &&
+               (next < scheduled || durationSecs > 0))
+            scenarios.push_back(sys::makeScenario(seedAt(next++), pinned));
 
         const auto verdicts = sys::runFuzzBatch(scenarios, options);
         for (const auto &v : verdicts) {
             ++ran;
             if (v.ok())
                 continue;
-            ++failed;
             failingSeeds.push_back(v.scenario.seed);
             printFailure(v);
         }
         if (!quiet)
             std::printf("fuzz: %llu scenarios, %llu failed\n",
                         static_cast<unsigned long long>(ran),
-                        static_cast<unsigned long long>(failed));
-        if (durationSecs > 0 && expired() && cursor >= schedule.size())
+                        static_cast<unsigned long long>(failingSeeds.size()));
+        if (durationSecs > 0 && expired() && next >= scheduled)
             break;
     }
 
@@ -286,5 +201,14 @@ main(int argc, char **argv)
         for (const std::uint64_t seed : failingSeeds)
             shrinkSeed(seed, pinned, options);
 
-    return failed == 0 ? 0 : 1;
+    return failingSeeds.empty() ? sys::cli::exitOk : sys::cli::exitFinding;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return griffin::sys::cli::guard("griffin-fuzz",
+                                    [&] { return run(argc, argv); });
 }

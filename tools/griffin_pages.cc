@@ -1,90 +1,23 @@
 /**
  * @file
  * griffin-pages: query the page-lifecycle telemetry of a JSON run
- * report (written by a bench with --page-stats / --timeseries=TICKS).
+ * report written by a bench with --page-stats / --timeseries=TICKS
+ * (commands and flags: --help).
  *
- *   griffin-pages summarize REPORT.json [--run=LABEL] [--csv]
- *   griffin-pages top       REPORT.json [--run=LABEL] [--n=N]
- *                           [--by=migrations|churn] [--csv]
- *   griffin-pages churn     REPORT.json [--run=LABEL] [--csv]
- *
- * summarize: per-run event totals, churn counts, reuse-distance
- * percentiles and (when present) the time-series peaks.
- * top:       the hot-page table (most-migrated pages), or the
- *            thrashing table with --by=churn.
- * churn:     churn-focused view: churn events/pages per run plus the
- *            full thrashing table with residency timelines.
- *
- * --run=LABEL restricts to one run (default: all runs in the report).
- * --csv emits the table as CSV instead of aligned text.
- *
- * Exit status: 0 OK, 1 the selected runs carry no page_stats section
- * (the bench ran without --page-stats), 2 usage / IO / parse error.
+ * Exit status follows the shared contract (src/sys/cli.hh); the
+ * finding (1) is a selection with no page_stats section at all (the
+ * bench ran without --page-stats).
  */
 
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <optional>
-#include <sstream>
 #include <string>
-#include <vector>
 
-#include "src/obs/json.hh"
-#include "src/sys/report.hh"
+#include "src/sys/cli.hh"
 
 namespace {
 
 using griffin::obs::json::Value;
-
-std::optional<Value>
-loadReport(const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is) {
-        std::cerr << "griffin-pages: cannot open " << path << "\n";
-        return std::nullopt;
-    }
-    std::ostringstream text;
-    text << is.rdbuf();
-    auto doc = Value::parse(text.str());
-    if (!doc)
-        std::cerr << "griffin-pages: " << path << ": parse error\n";
-    return doc;
-}
-
-void
-usage()
-{
-    std::cerr
-        << "usage: griffin-pages COMMAND REPORT.json [options]\n"
-           "  summarize  per-run page-stats digest (+ timeseries peaks)\n"
-           "  top        hot-page table [--n=N] [--by=migrations|churn]\n"
-           "  churn      churn counts and the thrashing table\n"
-           "options: --run=LABEL  --n=N  --by=migrations|churn  --csv\n";
-}
-
-/** The runs of a report document as (label, run) pairs. */
-std::vector<std::pair<std::string, const Value *>>
-runsOf(const Value &doc)
-{
-    std::vector<std::pair<std::string, const Value *>> out;
-    const Value *runs = doc.find("runs");
-    if (!runs) {
-        if (doc.find("label")) // bare single-run object
-            out.emplace_back(doc.find("label")->asString(), &doc);
-        return out;
-    }
-    for (std::size_t i = 0; i < runs->size(); ++i) {
-        const Value &run = runs->at(i);
-        const Value *label = run.find("label");
-        out.emplace_back(label ? label->asString()
-                               : "run" + std::to_string(i),
-                         &run);
-    }
-    return out;
-}
 
 double
 numberAt(const Value &obj, const char *key)
@@ -111,7 +44,7 @@ residencyString(const Value &tp)
     const std::size_t n = res->size();
     for (std::size_t i = 0; i < n && i < maxHops; ++i) {
         const Value &hop = res->at(i);
-        if (hop.size() != 2)
+        if (hop.kind() != Value::Kind::Array || hop.size() != 2)
             continue;
         if (!out.empty())
             out += " > ";
@@ -138,113 +71,46 @@ addTopPageRows(griffin::sys::Table &table, const std::string &label,
     }
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace griffin;
 
-    std::string command;
-    std::string reportFile;
-    std::string runLabel;
+    std::string command, reportFile, runLabel;
     std::string by = "migrations";
     unsigned topN = 0; // 0 = the report's own top-N
     bool csv = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else if (arg.rfind("--run=", 0) == 0) {
-            runLabel = arg.substr(6);
-        } else if (arg.rfind("--n=", 0) == 0) {
-            topN = unsigned(std::strtoul(arg.substr(4).c_str(),
-                                         nullptr, 10));
-            if (topN == 0) {
-                std::cerr << "griffin-pages: bad --n value\n";
-                return 2;
-            }
-        } else if (arg.rfind("--by=", 0) == 0) {
-            by = arg.substr(5);
-            if (by != "migrations" && by != "churn") {
-                std::cerr << "griffin-pages: --by must be migrations"
-                             " or churn\n";
-                return 2;
-            }
-        } else if (arg == "--csv") {
-            csv = true;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "griffin-pages: unknown flag " << arg << "\n";
-            usage();
-            return 2;
-        } else if (command.empty()) {
-            command = arg;
-        } else if (reportFile.empty()) {
-            reportFile = arg;
-        } else {
-            usage();
-            return 2;
-        }
-    }
+    sys::cli::Parser flags(
+        "griffin-pages",
+        "summarize: per-run event totals, churn counts, reuse-distance\n"
+        "           percentiles and (when present) time-series peaks\n"
+        "top:       the hot-page table (most-migrated pages), or the\n"
+        "           thrashing table with --by=churn\n"
+        "churn:     churn events/pages per run plus the full thrashing\n"
+        "           table with residency timelines");
+    flags.positional("COMMAND", command, "",
+                     {"summarize", "top", "churn"})
+        .positional("REPORT.json", reportFile,
+                    "a bench report written with --page-stats")
+        .text("--run", runLabel, "LABEL", "only this run (default: all)")
+        .integer("--n", topN, "rows per run (default: the report's top-N)",
+                 1, 1u << 20)
+        .choice("--by", by, {"migrations", "churn"}, "top's ranking")
+        .toggle("--csv", csv, "print CSV instead of aligned text");
+    flags.parse(argc, argv);
 
-    if (reportFile.empty() ||
-        (command != "summarize" && command != "top" &&
-         command != "churn")) {
-        usage();
-        return 2;
-    }
-
-    const auto doc = loadReport(reportFile);
-    if (!doc)
-        return 2;
-
-    const Value *schema = doc->find("schema_version");
-    const std::uint64_t version =
-        schema ? std::uint64_t(schema->asNumber()) : 1;
-    if (version != sys::reportSchemaVersion) {
-        std::cerr << "griffin-pages: warning: report schema_version "
-                  << version << " != expected "
-                  << sys::reportSchemaVersion << "\n";
-    }
-
-    auto runs = runsOf(*doc);
-    if (runs.empty()) {
-        std::cerr << "griffin-pages: no runs in " << reportFile << "\n";
-        return 2;
-    }
-    if (!runLabel.empty()) {
-        std::erase_if(runs, [&](const auto &r) {
-            return r.first != runLabel;
-        });
-        if (runs.empty()) {
-            std::cerr << "griffin-pages: no run labelled \"" << runLabel
-                      << "\" in " << reportFile << "\n";
-            return 2;
-        }
-    }
-
-    // Every selected run must carry telemetry: a gate-style consumer
+    // Every selection must carry telemetry: a gate-style consumer
     // pointing this tool at a --page-stats-less report should notice.
-    std::size_t withStats = 0;
-    for (const auto &[label, run] : runs)
-        withStats += run->find("page_stats") != nullptr;
-    if (withStats == 0) {
-        std::cerr << "griffin-pages: no page_stats section in the"
-                     " selected runs (re-run the bench with"
-                     " --page-stats)\n";
-        return 1;
-    }
+    const sys::cli::ReportReader report("griffin-pages", reportFile,
+                                        runLabel, "page_stats",
+                                        "re-run the bench with --page-stats");
 
     if (command == "summarize") {
         sys::Table table({"run", "pages", "migrated", "commits",
                           "churn", "churn_pages", "max_one_page",
                           "reuse_p50", "reuse_p95", "peak_migr/ival"});
-        for (const auto &[label, run] : runs) {
-            const Value *ps = run->find("page_stats");
-            if (!ps)
-                continue;
+        for (const auto &[label, run, ps] : report.runs) {
             const Value *reuse = ps->find("reuse_distance");
             std::string peak = "-";
             if (const Value *ts = run->find("timeseries")) {
@@ -274,10 +140,7 @@ main(int argc, char **argv)
     if (command == "churn") {
         sys::Table counts({"run", "churn_events", "churn_pages",
                            "churn_window"});
-        for (const auto &[label, run] : runs) {
-            const Value *ps = run->find("page_stats");
-            if (!ps)
-                continue;
+        for (const auto &[label, run, ps] : report.runs) {
             counts.addRow({label, u64(numberAt(*ps, "churn_events")),
                            u64(numberAt(*ps, "churn_pages")),
                            u64(numberAt(*ps, "churn_window"))});
@@ -289,10 +152,7 @@ main(int argc, char **argv)
 
     sys::Table table({"run", "page", "migrations", "churn", "denials",
                       "last_loc", "residency"});
-    for (const auto &[label, run] : runs) {
-        const Value *ps = run->find("page_stats");
-        if (!ps)
-            continue;
+    for (const auto &[label, run, ps] : report.runs) {
         const Value *pages = ps->find(section);
         if (!pages || pages->kind() != Value::Kind::Array)
             continue;
@@ -302,4 +162,13 @@ main(int argc, char **argv)
     }
     std::cout << (csv ? table.csv() : table.str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return griffin::sys::cli::guard("griffin-pages",
+                                    [&] { return run(argc, argv); });
 }

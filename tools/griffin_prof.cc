@@ -1,100 +1,30 @@
 /**
  * @file
  * griffin-prof: query the host-side self-profile of a JSON run report
- * (written by a bench with --host-prof).
- *
- *   griffin-prof summarize REPORT.json [--run=LABEL] [--csv]
- *   griffin-prof top       REPORT.json [--run=LABEL] [--n=N] [--csv]
- *   griffin-prof folded    REPORT.json [--run=LABEL]
- *
- * summarize: per-run dispatch counts, host wall/dispatch time,
- *            throughput, attribution coverage and telemetry overhead,
- *            plus an aggregate TOTAL row when several runs match.
- * top:       the hottest (component;event) buckets by self time, with
- *            each bucket's share of total dispatch time.
- * folded:    the merged folded stacks ("component;event self_ns" per
- *            line) of the selected runs — pipe into flamegraph.pl or
- *            import into speedscope.
- *
- * --run=LABEL restricts to one run (default: all runs in the report).
- * --csv emits the table as CSV instead of aligned text.
+ * written by a bench with --host-prof (commands and flags: --help).
  *
  * Host times are wall-clock and therefore machine-dependent; only the
  * bucket names and dispatch counts are deterministic. Comparing two
  * reports' host numbers is what griffin-compare's warn-only
  * host_profile.host handling is for — this tool just displays them.
  *
- * Exit status: 0 OK, 1 the selected runs carry no host_profile section
- * (the bench ran without --host-prof), 2 usage / IO / parse error.
+ * Exit status follows the shared contract (src/sys/cli.hh); the
+ * finding (1) is a selection with no host_profile section at all (the
+ * bench ran without --host-prof).
  */
 
-#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/obs/hostprof.hh"
-#include "src/obs/json.hh"
-#include "src/sys/report.hh"
+#include "src/sys/cli.hh"
 
 namespace {
 
 using griffin::obs::HostProfile;
-using griffin::obs::json::Value;
-
-std::optional<Value>
-loadReport(const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is) {
-        std::cerr << "griffin-prof: cannot open " << path << "\n";
-        return std::nullopt;
-    }
-    std::ostringstream text;
-    text << is.rdbuf();
-    auto doc = Value::parse(text.str());
-    if (!doc)
-        std::cerr << "griffin-prof: " << path << ": parse error\n";
-    return doc;
-}
-
-void
-usage()
-{
-    std::cerr
-        << "usage: griffin-prof COMMAND REPORT.json [options]\n"
-           "  summarize  per-run host-time digest (+ TOTAL row)\n"
-           "  top        hottest component;event buckets [--n=N]\n"
-           "  folded     merged folded stacks for flamegraph tools\n"
-           "options: --run=LABEL  --n=N  --csv\n";
-}
-
-/** The runs of a report document as (label, run) pairs. */
-std::vector<std::pair<std::string, const Value *>>
-runsOf(const Value &doc)
-{
-    std::vector<std::pair<std::string, const Value *>> out;
-    const Value *runs = doc.find("runs");
-    if (!runs) {
-        if (doc.find("label")) // bare single-run object
-            out.emplace_back(doc.find("label")->asString(), &doc);
-        return out;
-    }
-    for (std::size_t i = 0; i < runs->size(); ++i) {
-        const Value &run = runs->at(i);
-        const Value *label = run.find("label");
-        out.emplace_back(label ? label->asString()
-                               : "run" + std::to_string(i),
-                         &run);
-    }
-    return out;
-}
 
 std::string
 ms(std::uint64_t ns)
@@ -114,105 +44,47 @@ addSummaryRow(griffin::sys::Table &table, const std::string &label,
                   Table::num(p.obsFraction() * 100.0, 1)});
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace griffin;
 
-    std::string command;
-    std::string reportFile;
-    std::string runLabel;
+    std::string command, reportFile, runLabel;
     unsigned topN = 10;
     bool csv = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else if (arg.rfind("--run=", 0) == 0) {
-            runLabel = arg.substr(6);
-        } else if (arg.rfind("--n=", 0) == 0) {
-            topN = unsigned(std::strtoul(arg.substr(4).c_str(),
-                                         nullptr, 10));
-            if (topN == 0) {
-                std::cerr << "griffin-prof: bad --n value\n";
-                return 2;
-            }
-        } else if (arg == "--csv") {
-            csv = true;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "griffin-prof: unknown flag " << arg << "\n";
-            usage();
-            return 2;
-        } else if (command.empty()) {
-            command = arg;
-        } else if (reportFile.empty()) {
-            reportFile = arg;
-        } else {
-            usage();
-            return 2;
-        }
-    }
-
-    if (reportFile.empty() ||
-        (command != "summarize" && command != "top" &&
-         command != "folded")) {
-        usage();
-        return 2;
-    }
-
-    const auto doc = loadReport(reportFile);
-    if (!doc)
-        return 2;
-
-    const Value *schema = doc->find("schema_version");
-    const std::uint64_t version =
-        schema ? std::uint64_t(schema->asNumber()) : 1;
-    if (!sys::knownReportSchemaVersion(version)) {
-        std::cerr << "griffin-prof: warning: report schema_version "
-                  << version << " > known "
-                  << sys::reportSchemaVersion << "\n";
-    }
-
-    auto runs = runsOf(*doc);
-    if (runs.empty()) {
-        std::cerr << "griffin-prof: no runs in " << reportFile << "\n";
-        return 2;
-    }
-    if (!runLabel.empty()) {
-        std::erase_if(runs, [&](const auto &r) {
-            return r.first != runLabel;
-        });
-        if (runs.empty()) {
-            std::cerr << "griffin-prof: no run labelled \"" << runLabel
-                      << "\" in " << reportFile << "\n";
-            return 2;
-        }
-    }
+    sys::cli::Parser flags(
+        "griffin-prof",
+        "summarize: per-run dispatches, host wall/dispatch time,\n"
+        "           throughput, attribution and telemetry overhead\n"
+        "           (+ a TOTAL row when several runs match)\n"
+        "top:       the hottest component;event buckets by self time\n"
+        "           with each one's share of dispatch time\n"
+        "folded:    the merged folded stacks (\"component;event self_ns\")\n"
+        "           for flamegraph.pl or speedscope");
+    flags.positional("COMMAND", command, "",
+                     {"summarize", "top", "folded"})
+        .positional("REPORT.json", reportFile,
+                    "a bench report written with --host-prof")
+        .text("--run", runLabel, "LABEL", "only this run (default: all)")
+        .integer("--n", topN, "top's rows per run (default 10)", 1,
+                 1u << 20)
+        .toggle("--csv", csv, "print CSV instead of aligned text");
+    flags.parse(argc, argv);
 
     // Parse every selected run's host_profile up front; a consumer
     // pointing this tool at an unprofiled report should notice.
+    const sys::cli::ReportReader report("griffin-prof", reportFile,
+                                        runLabel, "host_profile",
+                                        "re-run the bench with --host-prof");
     std::vector<std::pair<std::string, HostProfile>> profiles;
-    for (const auto &[label, run] : runs) {
-        const Value *hp = run->find("host_profile");
-        if (!hp)
-            continue;
+    for (const auto &[label, run, hp] : report.runs) {
         auto profile = sys::hostProfileFromJson(*hp);
         if (!profile) {
-            std::cerr << "griffin-prof: run \"" << label
-                      << "\": malformed host_profile section\n";
-            return 2;
+            throw sys::cli::UsageError("run \"" + label +
+                                       "\": malformed host_profile section");
         }
         profiles.emplace_back(label, std::move(*profile));
-    }
-    if (profiles.empty()) {
-        std::cerr << "griffin-prof: no host_profile section in the"
-                     " selected runs (re-run the bench with"
-                     " --host-prof)\n";
-        return 1;
     }
 
     if (command == "summarize") {
@@ -234,16 +106,7 @@ main(int argc, char **argv)
         sys::Table table({"run", "bucket", "count", "self_ms",
                           "share%"});
         for (const auto &[label, p] : profiles) {
-            std::vector<HostProfile::Bucket> top = p.buckets;
-            std::sort(top.begin(), top.end(),
-                      [](const auto &a, const auto &b) {
-                          return a.selfNs != b.selfNs
-                                     ? a.selfNs > b.selfNs
-                                     : a.name() < b.name();
-                      });
-            if (top.size() > topN)
-                top.resize(topN);
-            for (const auto &b : top) {
+            for (const auto &b : p.hottest(topN)) {
                 const double share =
                     p.dispatchNs > 0
                         ? double(b.selfNs) / double(p.dispatchNs)
@@ -264,4 +127,13 @@ main(int argc, char **argv)
         total.merge(p);
     std::cout << total.folded();
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return griffin::sys::cli::guard("griffin-prof",
+                                    [&] { return run(argc, argv); });
 }
