@@ -58,7 +58,7 @@ struct Options
     /** Concurrent simulations; 0 = one per hardware thread. */
     unsigned jobs = 0;
     bool csv = false;
-    std::vector<std::string> workloads; // empty = all ten
+    std::vector<std::string> workloads; // default: every choice
 
     /** @name Observability outputs (empty = disabled) @{ */
     std::string traceFile;
@@ -92,11 +92,15 @@ struct Options
      * exit 0 after --help and 2 on bad input. @p notes is appended to
      * --help: the place to declare flags this bench pins or ignores
      * (perf_gate pins scale/seed/sample, fig01/fig10 ignore
-     * --workload).
+     * --workload). @p workloadSet narrows --workload's choices and
+     * its default (empty: all ten).
      */
     static Options
-    parse(int argc, char **argv, const char *notes = nullptr)
+    parse(int argc, char **argv, const char *notes = nullptr,
+          std::vector<std::string> workloadSet = {})
     {
+        if (workloadSet.empty())
+            workloadSet = wl::workloadNames();
         // In sim::LogLevel order: a level's index is its enum value.
         const std::vector<std::string> levels = {"error", "warn", "info",
                                                  "trace"};
@@ -113,7 +117,7 @@ struct Options
             .integer("--jobs", opt.jobs,
                      "concurrent runs (default: hardware threads)", 1, 1024)
             .toggle("--csv", opt.csv, "also emit CSV after each table")
-            .choices("--workload", opt.workloads, wl::workloadNames(),
+            .choices("--workload", opt.workloads, workloadSet,
                      "restrict to a Table III workload (default: all)")
             .output("--trace", opt.traceFile,
                     "Chrome trace-event JSON of every run (Perfetto)")
@@ -178,7 +182,7 @@ struct Options
                 levels.begin()));
         }
         if (opt.workloads.empty())
-            opt.workloads = wl::workloadNames();
+            opt.workloads = workloadSet;
         return opt;
     }
 

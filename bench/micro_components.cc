@@ -47,9 +47,9 @@ BENCHMARK(BM_EventQueueScheduleRun)->Arg(1024)->Arg(16384);
 static void
 BM_EventQueueSameTickCascade(benchmark::State &state)
 {
-    // The simulator's dominant shape: an event's callback schedules
-    // the next hop. Same-tick hops stay in the FIFO ring; the queue
-    // must sustain them without growing.
+    // Zero-delay continuations: each hop joins the tail of the
+    // bucket being consumed, and the queue must sustain them without
+    // growing.
     const std::uint64_t hops = std::uint64_t(state.range(0));
     for (auto _ : state) {
         sim::EventQueue q;
@@ -73,7 +73,7 @@ BM_EventQueueHopChain(benchmark::State &state)
 {
     // Latency-hop chains (TLB -> cache -> DRAM shapes): every hop
     // moves time forward a little, so events flow through the ladder
-    // buckets rather than the ring.
+    // buckets one tick apart.
     const std::uint64_t hops = std::uint64_t(state.range(0));
     for (auto _ : state) {
         sim::EventQueue q;

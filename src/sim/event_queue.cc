@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <iterator>
 #include <utility>
 
 #include "src/obs/hostprof.hh"
@@ -16,8 +15,9 @@ EventQueue::~EventQueue() = default;
 void
 EventQueue::enableReferenceMode()
 {
-    // The modes share clocks, counters, and timer slots but not entry
-    // storage, so switching is only sound while nothing is resident.
+    // The modes share the slab, clocks and counters but not the
+    // ordering tiers, so switching is only sound while nothing is
+    // resident.
     assert(_size == 0 && _deadEntries == 0 && _executed == 0 &&
            "reference mode must be enabled on a fresh queue");
     _refMode = true;
@@ -33,64 +33,34 @@ EventQueue::scheduleAt(Tick when, EventFn fn)
                                  << _now << "); clamping to now");
         when = _now;
     }
-    Entry e;
-    e.when = when;
-    e.seq = _nextSeq++;
-    e.fn = std::move(fn);
-    insert(std::move(e));
+    push(when, std::move(fn), false);
 }
 
 TimerId
 EventQueue::scheduleTimeout(Tick delay, EventFn fn)
 {
-    std::uint32_t slot;
-    if (!_freeTimerSlots.empty()) {
-        slot = _freeTimerSlots.back();
-        _freeTimerSlots.pop_back();
-    } else {
-        slot = static_cast<std::uint32_t>(_timerSlots.size());
-        _timerSlots.emplace_back();
-    }
-    TimerSlot &s = _timerSlots[slot];
-    s.fn = std::move(fn);
-    const TimerId id = (TimerId(s.gen) << 32) | slot;
+    const std::uint32_t slot = push(_now + delay, std::move(fn), true);
     ++_pendingTimerCount;
-
-    Entry e;
-    e.when = _now + delay;
-    e.seq = _nextSeq++;
-    e.timerSlot1 = slot + 1;
-    e.timerGen = s.gen;
-    insert(std::move(e));
-    return id;
-}
-
-void
-EventQueue::releaseTimerSlot(std::uint32_t slot)
-{
-    TimerSlot &s = _timerSlots[slot];
-    s.fn = nullptr;
-    // Never let a generation wrap to 0: an id with gen 0 in slot 0
-    // would collide with invalidTimerId.
-    if (++s.gen == 0)
-        s.gen = 1;
-    _freeTimerSlots.push_back(slot);
+    return (TimerId(_slots[slot].gen) << 32) | slot;
 }
 
 bool
 EventQueue::cancelTimeout(TimerId id)
 {
-    if (id == invalidTimerId)
-        return false;
+    // Generations are never 0, so invalidTimerId matches no slot.
     const std::uint32_t slot = static_cast<std::uint32_t>(id & 0xffffffffu);
     const std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
-    if (slot >= _timerSlots.size() || _timerSlots[slot].gen != gen)
+    if (slot >= _slots.size())
+        return false;
+    Slot &s = _slots[slot];
+    if (s.gen != gen || !s.timer || s.cancelled)
         return false;
 
-    // O(1): destroy the callback and invalidate the queue entry via
-    // the generation bump. The entry itself is now a tombstone that
-    // front-pruning (settle) or amortized compaction reclaims.
-    releaseTimerSlot(slot);
+    // O(1): destroy the callback now and leave the entry in its tier
+    // as a tombstone; front-pruning (settle) or amortized compaction
+    // frees the slot later.
+    s.cancelled = true;
+    s.fn = nullptr;
     --_pendingTimerCount;
     --_size;
     ++_deadEntries;
@@ -107,8 +77,8 @@ EventQueue::cancelTimeout(TimerId id)
     return true;
 }
 
-void
-EventQueue::insert(Entry &&e)
+std::uint32_t
+EventQueue::push(Tick when, EventFn &&fn, bool timer)
 {
     if (_size == 0) {
         // The queue is empty: drop any tombstone residue and re-anchor
@@ -117,29 +87,78 @@ EventQueue::insert(Entry &&e)
         resetWindow();
     }
     ++_size;
-    if (_refMode) {
-        _ref.push(std::move(e));
-        return;
+    std::uint32_t slot = _freeHead;
+    if (slot != nil) {
+        _freeHead = _slots[slot].next;
+    } else {
+        slot = static_cast<std::uint32_t>(_slots.size());
+        _slots.emplace_back();
     }
-    if (e.when == _now) {
-        _ring.push_back(std::move(e));
-        return;
+    Slot &s = _slots[slot];
+    s.when = when;
+    s.timer = timer;
+    s.fn = std::move(fn);
+
+    if (_refMode)
+        _ref.push({when, _nextSeq++, slot});
+    else if (when < _windowEnd)
+        append(when & (ladderBuckets - 1), slot);
+    else {
+        _spill.push_back({when, _nextSeq++, slot});
+        std::push_heap(_spill.begin(), _spill.end(), Later{});
     }
-    if (e.when < _windowEnd) {
-        pushBucket(std::move(e));
-        return;
-    }
-    _spill.push_back(std::move(e));
-    std::push_heap(_spill.begin(), _spill.end(), Later{});
+    return slot;
 }
 
 void
-EventQueue::pushBucket(Entry &&e)
+EventQueue::freeSlot(std::uint32_t slot)
 {
-    assert(e.when > _now && e.when >= _windowBase && e.when < _windowEnd);
-    const std::size_t idx = e.when & (ladderBuckets - 1);
-    _ladder[idx].v.push_back(std::move(e));
-    setBit(idx);
+    Slot &s = _slots[slot];
+    assert(!s.fn && "a slot is freed only once its callback is gone");
+    s.timer = false;
+    s.cancelled = false;
+    if (++s.gen == 0)
+        s.gen = 1;
+    s.next = _freeHead;
+    _freeHead = slot;
+}
+
+void
+EventQueue::append(std::size_t idx, std::uint32_t slot)
+{
+    assert(_slots[slot].when >= _now && _slots[slot].when >= _windowBase &&
+           _slots[slot].when < _windowEnd);
+    Bucket &bk = _ladder[idx];
+    _slots[slot].next = nil;
+    if (bk.tail == nil) {
+        bk.head = slot;
+        setBit(idx);
+    } else {
+        _slots[bk.tail].next = slot;
+    }
+    bk.tail = slot;
+}
+
+std::uint32_t
+EventQueue::popBucket(std::size_t idx)
+{
+    Bucket &bk = _ladder[idx];
+    const std::uint32_t slot = bk.head;
+    bk.head = _slots[slot].next;
+    if (bk.head == nil) {
+        bk.tail = nil;
+        clearBit(idx);
+    }
+    return slot;
+}
+
+std::uint32_t
+EventQueue::popSpill()
+{
+    std::pop_heap(_spill.begin(), _spill.end(), Later{});
+    const std::uint32_t slot = _spill.back().slot;
+    _spill.pop_back();
+    return slot;
 }
 
 int
@@ -168,65 +187,25 @@ EventQueue::nextBucketIndex() const
 }
 
 void
-EventQueue::migrateBucket(std::size_t idx)
-{
-    // The ring is drained; hand it the whole bucket (one tick's FIFO,
-    // already in schedule order). Swapping vectors recycles whichever
-    // capacity the ring built up over previous ticks.
-    assert(_ringHead == _ring.size());
-    Bucket &bk = _ladder[idx];
-    _ring.clear();
-    _ringHead = 0;
-    if (bk.head == 0) {
-        _ring.swap(bk.v);
-    } else {
-        _ring.insert(
-            _ring.end(),
-            std::make_move_iterator(bk.v.begin() +
-                                    static_cast<std::ptrdiff_t>(bk.head)),
-            std::make_move_iterator(bk.v.end()));
-        bk.v.clear();
-        bk.head = 0;
-    }
-    clearBit(idx);
-}
-
-void
 EventQueue::slideWindow()
 {
-    // Ring and ladder are empty; re-anchor the window on the spill's
-    // earliest live event and redistribute everything that now fits.
+    // The ladder is empty and settle() left the spill's front live;
+    // re-anchor the window on it and move everything that now fits.
     // Heap pops come out in (when, seq) order, so bucket append order
     // stays schedule order.
-    while (!_spill.empty() && !alive(_spill.front())) {
-        std::pop_heap(_spill.begin(), _spill.end(), Later{});
-        _spill.pop_back();
-        --_deadEntries;
-    }
-    if (_spill.empty())
-        return;
+    assert(!_spill.empty() && !dead(_spill.front().slot));
     _windowBase = _spill.front().when;
     _windowEnd = _windowBase + ladderBuckets;
     while (!_spill.empty() && _spill.front().when < _windowEnd) {
-        std::pop_heap(_spill.begin(), _spill.end(), Later{});
-        Entry e = std::move(_spill.back());
-        _spill.pop_back();
-        if (!alive(e)) {
+        const Tick when = _spill.front().when;
+        const std::uint32_t slot = popSpill();
+        if (dead(slot)) {
+            freeSlot(slot);
             --_deadEntries;
-            continue;
+        } else {
+            append(when & (ladderBuckets - 1), slot);
         }
-        const std::size_t idx = e.when & (ladderBuckets - 1);
-        _ladder[idx].v.push_back(std::move(e));
-        setBit(idx);
     }
-}
-
-void
-EventQueue::compactRing()
-{
-    _ring.erase(_ring.begin(),
-                _ring.begin() + static_cast<std::ptrdiff_t>(_ringHead));
-    _ringHead = 0;
 }
 
 Tick
@@ -238,15 +217,11 @@ EventQueue::nextTime() const
         return _ref.top().when;
     // settle() keeps the front of the pop order live after every
     // mutation, so each tier's front reports an exact time. (An entry
-    // behind a ring/bucket front may be a tombstone, but it shares its
-    // tick with the live front by construction.)
-    if (_ringHead < _ring.size())
-        return _ring[_ringHead].when;
+    // behind a bucket's head may be a tombstone, but it shares its
+    // tick with the live head by construction.)
     const int b = nextBucketIndex();
-    if (b >= 0) {
-        const Bucket &bk = _ladder[static_cast<std::size_t>(b)];
-        return bk.v[bk.head].when;
-    }
+    if (b >= 0)
+        return _slots[_ladder[static_cast<std::size_t>(b)].head].when;
     assert(!_spill.empty());
     return _spill.front().when;
 }
@@ -254,54 +229,24 @@ EventQueue::nextTime() const
 void
 EventQueue::settle()
 {
-    if (_size == 0)
-        return;
-    if (_refMode) {
-        while (!_ref.empty() && !alive(_ref.top())) {
-            _ref.pop();
-            --_deadEntries;
-        }
-        return;
-    }
-    for (;;) {
-        if (_ringHead < _ring.size()) {
-            if (alive(_ring[_ringHead]))
+    while (_deadEntries > 0) {
+        std::uint32_t slot;
+        if (_refMode) {
+            if (!dead(_ref.top().slot))
                 return;
-            ++_ringHead;
-            --_deadEntries;
-            if (_ringHead == _ring.size()) {
-                _ring.clear();
-                _ringHead = 0;
-            }
-            continue;
-        }
-        if (!_ring.empty()) {
-            _ring.clear();
-            _ringHead = 0;
-        }
-        const int b = nextBucketIndex();
-        if (b >= 0) {
-            Bucket &bk = _ladder[static_cast<std::size_t>(b)];
-            if (alive(bk.v[bk.head]))
+            slot = _ref.pop().slot;
+        } else if (const int b = nextBucketIndex(); b >= 0) {
+            const std::size_t idx = static_cast<std::size_t>(b);
+            if (!dead(_ladder[idx].head))
                 return;
-            ++bk.head;
-            --_deadEntries;
-            if (bk.head == bk.v.size()) {
-                bk.v.clear();
-                bk.head = 0;
-                clearBit(static_cast<std::size_t>(b));
-            }
-            continue;
-        }
-        if (!_spill.empty()) {
-            if (alive(_spill.front()))
+            slot = popBucket(idx);
+        } else {
+            if (!dead(_spill.front().slot))
                 return;
-            std::pop_heap(_spill.begin(), _spill.end(), Later{});
-            _spill.pop_back();
-            --_deadEntries;
-            continue;
+            slot = popSpill();
         }
-        return;
+        freeSlot(slot);
+        --_deadEntries;
     }
 }
 
@@ -309,26 +254,20 @@ void
 EventQueue::resetWindow()
 {
     assert(_size == 0);
-    if (_refMode) {
-        _ref.clear();
-        _deadEntries = 0;
-        return;
-    }
-    if (_deadEntries > 0 || _ringHead < _ring.size()) {
-        _ring.clear();
-        _ringHead = 0;
+    // Every resident entry is a tombstone; free them all.
+    if (_deadEntries > 0) {
         for (std::size_t w = 0; w < bitmapWords; ++w) {
-            std::uint64_t word = _bits[w];
-            while (word) {
+            while (_bits[w]) {
                 const std::size_t idx =
-                    w * 64 + std::size_t(std::countr_zero(word));
-                word &= word - 1;
-                _ladder[idx].v.clear();
-                _ladder[idx].head = 0;
+                    w * 64 + std::size_t(std::countr_zero(_bits[w]));
+                freeSlot(popBucket(idx));
             }
-            _bits[w] = 0;
         }
+        for (const Key &k : _spill)
+            freeSlot(k.slot);
         _spill.clear();
+        while (!_ref.empty())
+            freeSlot(_ref.pop().slot);
         _deadEntries = 0;
     }
     _windowBase = _now;
@@ -338,26 +277,21 @@ EventQueue::resetWindow()
 void
 EventQueue::compact()
 {
-    const auto isDead = [this](const Entry &e) { return !alive(e); };
+    const auto reap = [this](const Key &k) {
+        if (!dead(k.slot))
+            return false;
+        freeSlot(k.slot);
+        return true;
+    };
 
     if (_refMode) {
-        _ref.removeIf(isDead);
+        _ref.removeIf(reap);
         _deadEntries = 0;
         return;
     }
 
-    // Ring: order-preserving filter of the un-consumed suffix.
-    if (_ringHead < _ring.size()) {
-        if (_ringHead > 0)
-            compactRing();
-        _ring.erase(std::remove_if(_ring.begin(), _ring.end(), isDead),
-                    _ring.end());
-    } else if (!_ring.empty()) {
-        _ring.clear();
-        _ringHead = 0;
-    }
-
-    // Ladder: the same per bucket; an emptied bucket clears its bit.
+    // Ladder: relink each bucket's live slots in order; an emptied
+    // bucket clears its bit.
     for (std::size_t w = 0; w < bitmapWords; ++w) {
         std::uint64_t word = _bits[w];
         while (word) {
@@ -365,22 +299,23 @@ EventQueue::compact()
                 w * 64 + std::size_t(std::countr_zero(word));
             word &= word - 1;
             Bucket &bk = _ladder[idx];
-            if (bk.head > 0) {
-                bk.v.erase(bk.v.begin(),
-                           bk.v.begin() +
-                               static_cast<std::ptrdiff_t>(bk.head));
-                bk.head = 0;
+            std::uint32_t slot = bk.head;
+            bk = Bucket{};
+            clearBit(idx);
+            while (slot != nil) {
+                const std::uint32_t next = _slots[slot].next;
+                if (dead(slot))
+                    freeSlot(slot);
+                else
+                    append(idx, slot);
+                slot = next;
             }
-            bk.v.erase(std::remove_if(bk.v.begin(), bk.v.end(), isDead),
-                       bk.v.end());
-            if (bk.v.empty())
-                clearBit(idx);
         }
     }
 
     // Spill: filter, then rebuild; the comparator restores the exact
     // (when, seq) pop order.
-    _spill.erase(std::remove_if(_spill.begin(), _spill.end(), isDead),
+    _spill.erase(std::remove_if(_spill.begin(), _spill.end(), reap),
                  _spill.end());
     std::make_heap(_spill.begin(), _spill.end(), Later{});
 
@@ -390,18 +325,11 @@ EventQueue::compact()
 std::size_t
 EventQueue::residentEntries() const
 {
-    if (_refMode)
-        return _ref.size();
-    std::size_t total = (_ring.size() - _ringHead) + _spill.size();
-    for (std::size_t w = 0; w < bitmapWords; ++w) {
-        std::uint64_t word = _bits[w];
-        while (word) {
-            const std::size_t idx =
-                w * 64 + std::size_t(std::countr_zero(word));
-            word &= word - 1;
-            const Bucket &bk = _ladder[idx];
-            total += bk.v.size() - bk.head;
-        }
+    std::size_t total = _spill.size() + _ref.size();
+    for (const Bucket &bk : _ladder) {
+        for (std::uint32_t slot = bk.head; slot != nil;
+             slot = _slots[slot].next)
+            ++total;
     }
     return total;
 }
@@ -412,68 +340,40 @@ EventQueue::runOne()
     if (_size == 0)
         return false;
 
-    Entry entry;
+    // settle() keeps the front of the pop order live, so the front is
+    // the next event.
+    std::uint32_t slot;
     if (_refMode) {
-        // The reference heap pops in global (when, seq) order; skip
-        // any tombstone that reached the front between settles.
-        for (;;) {
-            entry = _ref.pop();
-            if (alive(entry))
-                break;
-            --_deadEntries;
-        }
+        slot = _ref.pop().slot;
     } else {
-        for (;;) {
-            if (_ringHead < _ring.size()) {
-                entry = std::move(_ring[_ringHead]);
-                ++_ringHead;
-                if (_ringHead == _ring.size()) {
-                    _ring.clear();
-                    _ringHead = 0;
-                } else if (_ringHead >= 64 &&
-                           _ringHead * 2 >= _ring.size()) {
-                    // A long same-tick cascade appends while it pops;
-                    // drop the consumed prefix so the ring's footprint
-                    // tracks the live tail, not the cascade length.
-                    compactRing();
-                }
-                if (!alive(entry)) {
-                    --_deadEntries;
-                    continue;
-                }
-                break;
-            }
-            const int b = nextBucketIndex();
-            if (b >= 0) {
-                migrateBucket(static_cast<std::size_t>(b));
-                continue;
-            }
-            if (!_spill.empty()) {
-                slideWindow();
-                continue;
-            }
-            assert(false && "size() > 0 but no live entry found");
-            return false;
+        int b = nextBucketIndex();
+        if (b < 0) {
+            slideWindow();
+            b = nextBucketIndex();
         }
+        slot = popBucket(static_cast<std::size_t>(b));
     }
-
-    assert(entry.when >= _now);
-    _now = entry.when;
+    Slot &s = _slots[slot];
+    assert(!s.cancelled && s.when >= _now);
+    _now = s.when;
     ++_executed;
     --_size;
-
-    // Move the callback out before dispatching so the callback can
-    // schedule further events (which mutates the tiers) while it runs.
-    EventFn fn;
-    if (entry.timerSlot1 != 0) {
-        // A live timer entry: the callback lives in the slot, and
-        // firing disarms the slot exactly like a cancel would.
-        fn = std::move(_timerSlots[entry.timerSlot1 - 1].fn);
-        releaseTimerSlot(entry.timerSlot1 - 1);
+    if (s.timer)
         --_pendingTimerCount;
-    } else {
-        fn = std::move(entry.fn);
-    }
+
+    // Move the callback out and free its slot before dispatching: the
+    // callback may schedule (growing the slab), and a timer that
+    // cancels itself must find its id already stale.
+    const EventFn fn = std::move(s.fn);
+    freeSlot(slot);
+    // A drained queue holds no live work: purge any tombstone residue
+    // so empty() also means "no resident memory". Otherwise prune the
+    // front now, so the queue is consistent even if the callback
+    // throws.
+    if (_size == 0)
+        resetWindow();
+    else
+        settle();
 
     if (auto *prof = _obs.prof) {
         // Bracket the dispatch so the profiler can attribute the
@@ -484,18 +384,12 @@ EventQueue::runOne()
             fn();
         } catch (...) {
             prof->endDispatch();
-            settle();
             throw;
         }
         prof->endDispatch();
     } else {
         fn();
     }
-    settle();
-    // A drained queue holds no live work: purge any tombstone residue
-    // so empty() also means "no resident memory".
-    if (_size == 0)
-        resetWindow();
     return true;
 }
 

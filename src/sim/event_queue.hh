@@ -6,28 +6,25 @@
  * scheduled (FIFO), which makes whole-system simulation results fully
  * reproducible for a given seed.
  *
- * Internally the queue is a hybrid three-tier structure tuned to the
- * schedule shapes the simulator actually produces (see DESIGN.md
- * "Scheduler internals"):
+ * Each pending event is one slot in a per-queue slab: the callback is
+ * moved in once at schedule time and out once just before it runs.
+ * The slots are ordered by two tiers (see DESIGN.md "Scheduler
+ * internals"):
  *
- *  - a SAME-TICK RING: a FIFO of events for the current tick. Zero-
- *    delay continuations — the dominant shape in CU/GPU/dispatcher
- *    code — append here and pop in O(1) with no ordering work at all;
- *  - a LADDER of per-tick buckets covering a sliding window of the
- *    near future. An insert indexes its bucket directly (O(1)); when
- *    time reaches a bucket its vector is handed to the ring wholesale.
- *    Within a bucket, append order IS schedule order, so FIFO-within-
- *    tick holds by construction;
- *  - a SPILL HEAP for events beyond the window (periodic-hook-scale
- *    delays, recovery deadlines). When the near future empties, the
- *    window slides to the spill's earliest event and everything
- *    inside the new window redistributes into the ladder in (when,
- *    seq) order, preserving the global FIFO contract.
+ *  - a LADDER of 1024 one-tick buckets covering a sliding window of
+ *    the near future. Each bucket is an intrusive FIFO list of slots,
+ *    so append order IS schedule order and an event for the current
+ *    tick simply joins the tail of the bucket being consumed;
+ *  - a SPILL HEAP of 24-byte (when, seq, slot) keys for events beyond
+ *    the window. When the ladder empties, the window slides to the
+ *    spill's earliest event and everything inside the new window
+ *    moves into its bucket in (when, seq) order, preserving the
+ *    global FIFO contract.
  *
  * Event callbacks are sim::InlineFn (inline capture storage, no
- * per-event heap allocation); cancellable timeouts live in
- * generation-checked slots so cancelTimeout() is O(1) and destroys
- * the callback immediately.
+ * per-event heap allocation). A cancellable timeout is an ordinary
+ * slot whose index and generation form its TimerId, so
+ * cancelTimeout() is O(1) and destroys the callback immediately.
  */
 
 #ifndef GRIFFIN_SIM_EVENT_QUEUE_HH
@@ -84,7 +81,7 @@ class EventQueue
      * A zero delay runs the callback later in the current tick, after
      * all previously scheduled work for this tick.
      */
-    void schedule(Tick delay, EventFn fn) { scheduleAt(_now + delay, std::move(fn)); }
+    void schedule(Tick delay, EventFn fn) { push(_now + delay, std::move(fn), false); }
 
     /**
      * Schedule @p fn at absolute time @p when. Scheduling in the past
@@ -165,22 +162,22 @@ class EventQueue
     /** @name Introspection for tests @{ */
 
     /**
-     * Entries physically resident across all three tiers, including
+     * Entries physically resident in both tiers, including
      * cancelled-timeout tombstones not yet reclaimed. Bounded-memory
      * tests assert this stays close to size().
      */
     std::size_t residentEntries() const;
 
-    /** Timer slots ever allocated (the free list recycles them). */
-    std::size_t timerSlotsAllocated() const { return _timerSlots.size(); }
+    /** Slab slots ever allocated (the free list recycles them). */
+    std::size_t slotsAllocated() const { return _slots.size(); }
 
     /** @} */
 
     /** @name Reference scheduler (differential testing) @{ */
 
     /**
-     * Replace the three-tier structure with the naive (when, seq)
-     * binary heap from ref_queue.hh. Test-only: the reference mode
+     * Replace the two tiers with the naive (when, seq) binary heap
+     * from ref_queue.hh. Test-only: the reference mode
      * exists so fuzz harnesses can demand byte-identical results from
      * the tiered queue and a trivially-correct one. Must be called on
      * a fresh queue, before anything is scheduled or executed.
@@ -196,25 +193,41 @@ class EventQueue
     /** Number of per-tick ladder buckets; must be a power of two. */
     static constexpr std::size_t ladderBuckets = 1024;
     static constexpr std::size_t bitmapWords = ladderBuckets / 64;
+    /** The null slot index: ends a bucket list or the free list. */
+    static constexpr std::uint32_t nil = ~std::uint32_t(0);
 
-    struct Entry
+    /**
+     * One pending event, or a free slot. A slot leaves the free list
+     * when its event is scheduled and returns when the event runs or,
+     * once cancelled, when its tier drops the tombstone; returning
+     * bumps the generation, so a stale TimerId never matches again.
+     */
+    struct Slot
     {
         Tick when = 0;
-        /** Global schedule order; ties on when resolve by seq. */
-        std::uint64_t seq = 0;
-        /** Timer slot index + 1; 0 for a plain event. */
-        std::uint32_t timerSlot1 = 0;
-        /** Slot generation at arm time; a mismatch means cancelled. */
-        std::uint32_t timerGen = 0;
-        /** The callback. Empty for timer entries (held in the slot). */
+        /** Next slot in its bucket list, or in the free list. */
+        std::uint32_t next = nil;
+        /** Never 0, so invalidTimerId never names a slot. */
+        std::uint32_t gen = 1;
+        bool timer = false;
+        /** A cancelled timeout: a tombstone awaiting reclaim. */
+        bool cancelled = false;
         EventFn fn;
     };
 
-    /** Min-heap order for the spill tier: (when, seq) ascending. */
+    /** A spill or reference heap entry; ties on when resolve by seq. */
+    struct Key
+    {
+        Tick when;
+        std::uint64_t seq;
+        std::uint32_t slot;
+    };
+
+    /** Min-heap order: (when, seq) ascending. */
     struct Later
     {
         bool
-        operator()(const Entry &a, const Entry &b) const
+        operator()(const Key &a, const Key &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
@@ -222,42 +235,29 @@ class EventQueue
         }
     };
 
+    /** A one-tick FIFO of slots linked through Slot::next. */
     struct Bucket
     {
-        std::vector<Entry> v;
-        /** First un-consumed entry (front pruning of cancellations). */
-        std::size_t head = 0;
+        std::uint32_t head = nil;
+        std::uint32_t tail = nil;
     };
 
-    /**
-     * A cancellable timeout's callback lives here, not in the queue
-     * entry, so cancelTimeout() can destroy it in O(1) by slot index.
-     * The generation increments whenever the slot is disarmed (fire
-     * or cancel), invalidating the queue entry and any stale TimerId.
-     */
-    struct TimerSlot
-    {
-        std::uint32_t gen = 1;
-        EventFn fn;
-    };
+    std::vector<Slot> _slots;
+    std::uint32_t _freeHead = nil;
 
-    /** Tier 1: FIFO of events for the current tick. */
-    std::vector<Entry> _ring;
-    std::size_t _ringHead = 0;
-
-    /** Tier 2: per-tick buckets over [_windowBase, _windowEnd). */
+    /** Tier 1: per-tick buckets over [_windowBase, _windowEnd). */
     std::array<Bucket, ladderBuckets> _ladder;
     /** Bit i set iff _ladder[i] holds entries. */
     std::uint64_t _bits[bitmapWords] = {};
     Tick _windowBase = 0;
     Tick _windowEnd = ladderBuckets;
 
-    /** Tier 3: min-heap of events at or beyond _windowEnd. */
-    std::vector<Entry> _spill;
+    /** Tier 2: min-heap of keys at or beyond _windowEnd. */
+    std::vector<Key> _spill;
 
-    /** Reference mode: one naive heap replaces all three tiers. */
+    /** Reference mode: one naive heap replaces both tiers. */
     bool _refMode = false;
-    RefQueue<Entry, Later> _ref;
+    RefQueue<Key, Later> _ref;
 
     obs::Context _obs;
 
@@ -271,35 +271,28 @@ class EventQueue
     std::size_t _deadEntries = 0;
     std::size_t _pendingTimerCount = 0;
 
-    std::vector<TimerSlot> _timerSlots;
-    std::vector<std::uint32_t> _freeTimerSlots;
+    bool dead(std::uint32_t slot) const { return _slots[slot].cancelled; }
 
-    bool alive(const Entry &e) const
-    {
-        return e.timerSlot1 == 0 ||
-               _timerSlots[e.timerSlot1 - 1].gen == e.timerGen;
-    }
-
-    void insert(Entry &&e);
-    void pushBucket(Entry &&e);
+    /** Give @p fn a slot and file it by @p when; returns the slot. */
+    std::uint32_t push(Tick when, EventFn &&fn, bool timer);
+    /** Return a slot to the free list, bumping its generation. */
+    void freeSlot(std::uint32_t slot);
+    void append(std::size_t idx, std::uint32_t slot);
+    /** Unlink and return the head of bucket @p idx. */
+    std::uint32_t popBucket(std::size_t idx);
+    std::uint32_t popSpill();
     void setBit(std::size_t i) { _bits[i >> 6] |= 1ull << (i & 63); }
     void clearBit(std::size_t i) { _bits[i >> 6] &= ~(1ull << (i & 63)); }
     /** Earliest non-empty bucket in window scan order, or -1. */
     int nextBucketIndex() const;
-    /** Hand the whole bucket (one tick's FIFO) to the empty ring. */
-    void migrateBucket(std::size_t idx);
-    /** Re-anchor the window on the spill's earliest live event. */
+    /** Re-anchor the window on the spill's earliest event. */
     void slideWindow();
-    /** Drop consumed ring prefix once it dominates the vector. */
-    void compactRing();
-    /** Prune cancelled tombstones off the front of the pop order. */
+    /** Free the cancelled tombstones at the front of the pop order. */
     void settle();
-    /** Drop all tombstone residue and re-anchor the window at now. */
+    /** Free all tombstone residue and re-anchor the window at now. */
     void resetWindow();
-    /** Erase every tombstone from every tier (amortized reclaim). */
+    /** Free every tombstone from every tier (amortized reclaim). */
     void compact();
-    /** Disarm a slot: destroy callback, bump generation, recycle. */
-    void releaseTimerSlot(std::uint32_t slot);
 };
 
 } // namespace griffin::sim

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -286,7 +287,7 @@ loadJson(const std::string &path)
 ReportReader::ReportReader(const std::string &program,
                            const std::string &path, const std::string &label,
                            const std::string &section, const std::string &hint)
-    : _doc(loadJson(path))
+    : _path(path), _doc(loadJson(path))
 {
     const std::string skew = reportSchemaWarning(_doc);
     if (!skew.empty())
@@ -312,6 +313,27 @@ ReportReader::ReportReader(const std::string &program,
                                      " section in the selected runs (" +
                                      hint + ")");
     }
+}
+
+std::uint64_t
+ReportReader::count(const obs::json::Value *v, const std::string &field) const
+{
+    if (!v)
+        return 0;
+    const double n = v->asNumber();
+    // 2^64 is exact as a double, and every integral double below it
+    // converts exactly; the negated test also refuses NaN.
+    if (v->kind() != obs::json::Value::Kind::Number || !(n >= 0.0) ||
+        n >= 18446744073709551616.0 || n != std::floor(n)) {
+        std::ostringstream got;
+        if (v->kind() == obs::json::Value::Kind::Number)
+            got << n;
+        else
+            got << "a non-number";
+        throw UsageError(_path + ": " + field +
+                         " wants an unsigned integer, got " + got.str());
+    }
+    return static_cast<std::uint64_t>(n);
 }
 
 } // namespace griffin::sys::cli

@@ -179,7 +179,18 @@ class ReportReader
     /** The selected runs, in report order; they point into the doc. */
     std::vector<RunSection> runs;
 
+    /**
+     * The count @p v holds, 0 when @p v is null (the field is
+     * absent). Anything but an unsigned integer below 2^64 —
+     * negative, fractional, too large, not a number — is a
+     * UsageError naming @p field: reports are outside input, and
+     * converting such a double to an integer is undefined.
+     */
+    std::uint64_t count(const obs::json::Value *v,
+                        const std::string &field) const;
+
   private:
+    std::string _path;
     obs::json::Value _doc;
 };
 

@@ -11,17 +11,24 @@ namespace {
 using griffin::bench::ObsState;
 using griffin::bench::Options;
 
-/** Run Options::parse over a flag list (argv[0] is synthesized). */
+/**
+ * Run Options::parse over a flag list (argv[0] is synthesized), with
+ * --workload narrowed to @p workloadSet when it is non-empty.
+ */
 Options
-parseFlags(std::vector<std::string> flags)
+parseFlags(std::vector<std::string> flags,
+           std::vector<std::string> workloadSet = {})
 {
     std::vector<char *> argv;
     static std::string prog = "bench";
     argv.push_back(prog.data());
     for (std::string &f : flags)
         argv.push_back(f.data());
-    return Options::parse(int(argv.size()), argv.data());
+    return Options::parse(int(argv.size()), argv.data(), nullptr,
+                          std::move(workloadSet));
 }
+
+const std::vector<std::string> gateSet = {"MT", "BFS", "SC"};
 
 TEST(Options, ParsesTheCommonFlags)
 {
@@ -100,6 +107,26 @@ TEST(OptionsDeathTest, UnknownWorkloadExitsBeforeAnyRun)
 {
     EXPECT_EXIT(parseFlags({"--workload=NOPE"}),
                 ::testing::ExitedWithCode(2), "--workload wants one of");
+}
+
+TEST(OptionsDeathTest, WorkloadOutsideANarrowedSetExitsBeforeAnyRun)
+{
+    // perf_gate narrows --workload to its gate set: a valid Table III
+    // workload outside it is refused, alone or beside a gate member,
+    // instead of silently selecting the whole set or being dropped.
+    EXPECT_EXIT(parseFlags({"--workload=FIR"}, gateSet),
+                ::testing::ExitedWithCode(2),
+                "--workload wants one of MT\\|BFS\\|SC, got 'FIR'");
+    EXPECT_EXIT(parseFlags({"--workload=MT", "--workload=FIR"}, gateSet),
+                ::testing::ExitedWithCode(2),
+                "--workload wants one of MT\\|BFS\\|SC, got 'FIR'");
+}
+
+TEST(Options, NarrowedWorkloadSetIsTheDefaultSelection)
+{
+    EXPECT_EQ(parseFlags({}, gateSet).workloads, gateSet);
+    EXPECT_EQ(parseFlags({"--workload=SC"}, gateSet).workloads,
+              (std::vector<std::string>{"SC"}));
 }
 
 TEST(OptionsDeathTest, UnknownLogLevelExitsWithUsageError)

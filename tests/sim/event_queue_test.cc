@@ -1,12 +1,14 @@
 /**
  * @file
  * Unit tests for sim::EventQueue: ordering, same-tick FIFO, nested
- * scheduling, and run-until semantics.
+ * scheduling, run-until semantics, and the slot slab behind them.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -331,7 +333,7 @@ TEST(EventQueueStress, MillionTimerChurnKeepsMemoryBounded)
     // Slots recycle through the free list: the high-water mark is the
     // peak number of simultaneously pending timers (plus tombstoned
     // slots awaiting their entry's reclaim), not the total ever armed.
-    EXPECT_LT(q.timerSlotsAllocated(), 20000u);
+    EXPECT_LT(q.slotsAllocated(), 20000u);
 }
 
 TEST(EventQueueStress, InterleavedEventsAndCancelsStayOrdered)
@@ -529,4 +531,158 @@ TEST(EventQueue, ManyEventsKeepTotalOrder)
     q.run();
     EXPECT_TRUE(monotonic);
     EXPECT_EQ(q.eventsExecuted(), 5000u);
+}
+
+// --- The slot slab ---------------------------------------------------
+// Every pending event, plain or timer, is one slab slot that returns
+// to a free list once its event ran or its tombstone was reclaimed.
+// Recycling must never let an old TimerId, a throw, or a destroyed
+// queue observe (or leak) a slot's next occupant.
+
+TEST(EventQueueSlab, StaleTimerIdIsRefusedAfterItsSlotIsRecycled)
+{
+    EventQueue q;
+    const auto cancelled = q.scheduleTimeout(10, [] {});
+    ASSERT_TRUE(q.cancelTimeout(cancelled));
+    // The slot is free again and a plain event takes it.
+    bool plainRan = false;
+    q.schedule(5, [&] { plainRan = true; });
+    EXPECT_EQ(q.slotsAllocated(), 1u);
+    EXPECT_FALSE(q.cancelTimeout(cancelled));
+    EXPECT_EQ(q.size(), 1u);
+    q.run();
+    EXPECT_TRUE(plainRan);
+
+    // A fired timer's slot goes to the next timer armed.
+    const auto fired = q.scheduleTimeout(5, [] {});
+    q.run();
+    bool timerRan = false;
+    const auto current = q.scheduleTimeout(5, [&] { timerRan = true; });
+    EXPECT_EQ(q.slotsAllocated(), 1u);
+    EXPECT_NE(current, fired);
+    EXPECT_FALSE(q.cancelTimeout(fired));
+    EXPECT_EQ(q.pendingTimeouts(), 1u);
+    q.run();
+    EXPECT_TRUE(timerRan);
+}
+
+TEST(EventQueueSlab, TombstoneRefusesASecondCancelUntilReclaimed)
+{
+    // With other work pending, a cancelled timeout behind a live head
+    // stays resident as a tombstone; its id must stay dead meanwhile.
+    EventQueue q;
+    q.schedule(10, [] {});
+    const auto id = q.scheduleTimeout(10, [] {});
+    ASSERT_TRUE(q.cancelTimeout(id));
+    EXPECT_EQ(q.residentEntries(), 2u);
+    EXPECT_FALSE(q.cancelTimeout(id));
+    q.run();
+    EXPECT_EQ(q.residentEntries(), 0u);
+    EXPECT_EQ(q.eventsExecuted(), 1u);
+}
+
+TEST(EventQueueSlab, TimerCancellingItselfFromItsCallbackGetsFalse)
+{
+    EventQueue q;
+    griffin::sim::TimerId id = griffin::sim::invalidTimerId;
+    bool result = true;
+    id = q.scheduleTimeout(10, [&] { result = q.cancelTimeout(id); });
+    q.schedule(20, [] {});
+    EXPECT_EQ(q.run(), 20u);
+    EXPECT_FALSE(result);
+    EXPECT_EQ(q.pendingTimeouts(), 0u);
+    EXPECT_EQ(q.eventsExecuted(), 2u);
+}
+
+TEST(EventQueueSlab, ThrowingCallbackLeavesTheQueueConsistent)
+{
+    // A tombstone sits right behind the thrower in its bucket: once
+    // the thrower pops, the queue must already report the next live
+    // event, not the cancelled deadline.
+    EventQueue q;
+    q.schedule(10, [] { throw std::runtime_error("boom"); });
+    const auto id = q.scheduleTimeout(10, [] {});
+    bool ran = false;
+    q.schedule(20, [&] { ran = true; });
+    ASSERT_TRUE(q.cancelTimeout(id));
+    EXPECT_EQ(q.size(), 2u);
+
+    EXPECT_THROW(q.runOne(), std::runtime_error);
+    EXPECT_EQ(q.now(), 10u);
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_EQ(q.nextTime(), 20u);
+    EXPECT_EQ(q.residentEntries(), 1u);
+
+    EXPECT_TRUE(q.runOne());
+    EXPECT_TRUE(ran);
+    EXPECT_EQ(q.now(), 20u);
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueSlab, QueuedCapturesAreDestroyedWithTheQueue)
+{
+    auto token = std::make_shared<int>(0);
+    {
+        EventQueue q;
+        q.schedule(5, [token] {});    // ladder
+        q.schedule(5000, [token] {}); // spill
+        q.scheduleTimeout(10, [token] {});
+        const auto id = q.scheduleTimeout(20, [token] {});
+        EXPECT_EQ(token.use_count(), 5);
+        // Cancelling releases the capture at once, not at reclaim.
+        ASSERT_TRUE(q.cancelTimeout(id));
+        EXPECT_EQ(token.use_count(), 4);
+        q.runOne();
+        EXPECT_EQ(token.use_count(), 3);
+    }
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueueSlab, LongSameTickCascadeStaysFifoAndBounded)
+{
+    // One event fans out 100 zero-delay events and each of those
+    // schedules one more: every child joins the tail of the bucket
+    // being consumed, behind all of the fan-out.
+    EventQueue q;
+    std::vector<int> order;
+    std::size_t peak = 0;
+    q.schedule(7, [&] {
+        for (int i = 0; i < 100; ++i) {
+            q.schedule(0, [&q, &order, &peak, i] {
+                order.push_back(i);
+                peak = std::max(peak, q.residentEntries());
+                q.schedule(0, [&order, i] { order.push_back(100 + i); });
+            });
+        }
+    });
+    q.run();
+    ASSERT_EQ(order.size(), 200u);
+    for (int i = 0; i < 200; ++i)
+        EXPECT_EQ(order[std::size_t(i)], i);
+    EXPECT_EQ(q.now(), 7u);
+    EXPECT_LE(peak, 100u);
+    EXPECT_LE(q.slotsAllocated(), 101u);
+}
+
+TEST(EventQueueSlab, ScheduleAtNowAfterRunUntilPastTheWindowStaysFifo)
+{
+    // runUntil() moves now far past the ladder window while a spill
+    // event keeps the queue non-empty; events at now then enter
+    // through the spill and must still run in schedule order.
+    EventQueue q;
+    std::vector<int> order;
+    q.schedule(100000, [&] { order.push_back(99); });
+    q.runUntil(5000);
+    ASSERT_EQ(q.now(), 5000u);
+    for (int i = 0; i < 4; ++i) {
+        q.scheduleAt(q.now(), [&q, &order, i] {
+            order.push_back(i);
+            if (i == 0)
+                q.scheduleAt(q.now(), [&order] { order.push_back(4); });
+        });
+    }
+    q.schedule(1, [&] { order.push_back(5); });
+    q.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 99}));
+    EXPECT_EQ(q.now(), 100000u);
 }

@@ -299,3 +299,32 @@ TEST(CliReportReader, MissingSectionIsAFindingAndFilteringKeepsOrder)
 }
 
 } // namespace
+
+TEST(CliReportReader, CountsAreRangeChecked)
+{
+    // A report is outside input: a count that no unsigned integer
+    // holds must be refused by name, never cast (undefined for a
+    // negative or out-of-range double).
+    const std::string path = writeTemp(
+        "counts.json",
+        R"({"runs": [{"label": "a", "page_stats": {
+              "pages_tracked": -3, "churn_pages": 2.5,
+              "churn_events": 1e30, "top_n": "16",
+              "pages_migrated": 7, "big": 18446744073709549568}}]})");
+    const ReportReader reader("tool", path, "", "page_stats", "");
+    const obs::json::Value &ps = *reader.runs.at(0).section;
+    const auto countOf = [&](const char *key) {
+        return reader.count(ps.find(key), key);
+    };
+    EXPECT_EQ(usageError([&] { countOf("pages_tracked"); }),
+              path + ": pages_tracked wants an unsigned integer, got -3");
+    EXPECT_EQ(usageError([&] { countOf("churn_pages"); }),
+              path + ": churn_pages wants an unsigned integer, got 2.5");
+    EXPECT_EQ(usageError([&] { countOf("churn_events"); }),
+              path + ": churn_events wants an unsigned integer, got 1e+30");
+    EXPECT_EQ(usageError([&] { countOf("top_n"); }),
+              path + ": top_n wants an unsigned integer, got a non-number");
+    EXPECT_EQ(countOf("pages_migrated"), 7u);
+    EXPECT_EQ(countOf("big"), 18446744073709549568u);
+    EXPECT_EQ(countOf("absent"), 0u);
+}

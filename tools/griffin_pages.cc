@@ -18,6 +18,7 @@
 namespace {
 
 using griffin::obs::json::Value;
+using griffin::sys::cli::ReportReader;
 
 double
 numberAt(const Value &obj, const char *key)
@@ -26,15 +27,16 @@ numberAt(const Value &obj, const char *key)
     return v ? v->asNumber() : 0.0;
 }
 
+/** The count at @p key of @p obj, range-checked (0 when absent). */
 std::string
-u64(double v)
+u64(const ReportReader &report, const Value &obj, const char *key)
 {
-    return std::to_string(std::uint64_t(v));
+    return std::to_string(report.count(obj.find(key), key));
 }
 
 /** The residency timeline as "t:dev > t:dev > ..." (capped). */
 std::string
-residencyString(const Value &tp)
+residencyString(const ReportReader &report, const Value &tp)
 {
     const Value *res = tp.find("residency");
     if (!res || res->kind() != Value::Kind::Array)
@@ -48,8 +50,8 @@ residencyString(const Value &tp)
             continue;
         if (!out.empty())
             out += " > ";
-        out += u64(hop.at(0).asNumber()) + ":" +
-               u64(hop.at(1).asNumber());
+        out += std::to_string(report.count(&hop.at(0), "residency")) +
+               ":" + std::to_string(report.count(&hop.at(1), "residency"));
     }
     if (n > maxHops)
         out += " > ... (" + std::to_string(n) + " hops)";
@@ -57,17 +59,18 @@ residencyString(const Value &tp)
 }
 
 void
-addTopPageRows(griffin::sys::Table &table, const std::string &label,
-               const Value &pages, unsigned n)
+addTopPageRows(griffin::sys::Table &table, const ReportReader &report,
+               const std::string &label, const Value &pages,
+               std::uint64_t n)
 {
     for (std::size_t i = 0; i < pages.size() && i < n; ++i) {
         const Value &tp = pages.at(i);
-        table.addRow({label, u64(numberAt(tp, "page")),
-                      u64(numberAt(tp, "migrations")),
-                      u64(numberAt(tp, "churn")),
-                      u64(numberAt(tp, "denials")),
-                      u64(numberAt(tp, "last_location")),
-                      residencyString(tp)});
+        table.addRow({label, u64(report, tp, "page"),
+                      u64(report, tp, "migrations"),
+                      u64(report, tp, "churn"),
+                      u64(report, tp, "denials"),
+                      u64(report, tp, "last_location"),
+                      residencyString(report, tp)});
     }
 }
 
@@ -102,9 +105,9 @@ run(int argc, char **argv)
 
     // Every selection must carry telemetry: a gate-style consumer
     // pointing this tool at a --page-stats-less report should notice.
-    const sys::cli::ReportReader report("griffin-pages", reportFile,
-                                        runLabel, "page_stats",
-                                        "re-run the bench with --page-stats");
+    const ReportReader report("griffin-pages", reportFile, runLabel,
+                              "page_stats",
+                              "re-run the bench with --page-stats");
 
     if (command == "summarize") {
         sys::Table table({"run", "pages", "migrated", "commits",
@@ -115,15 +118,15 @@ run(int argc, char **argv)
             std::string peak = "-";
             if (const Value *ts = run->find("timeseries")) {
                 if (const Value *pk = ts->find("peak"))
-                    peak = u64(numberAt(*pk, "migrations"));
+                    peak = u64(report, *pk, "migrations");
             }
             table.addRow(
-                {label, u64(numberAt(*ps, "pages_tracked")),
-                 u64(numberAt(*ps, "pages_migrated")),
-                 u64(numberAt(*ps, "total_migrations")),
-                 u64(numberAt(*ps, "churn_events")),
-                 u64(numberAt(*ps, "churn_pages")),
-                 u64(numberAt(*ps, "max_migrations_one_page")),
+                {label, u64(report, *ps, "pages_tracked"),
+                 u64(report, *ps, "pages_migrated"),
+                 u64(report, *ps, "total_migrations"),
+                 u64(report, *ps, "churn_events"),
+                 u64(report, *ps, "churn_pages"),
+                 u64(report, *ps, "max_migrations_one_page"),
                  reuse ? sys::Table::num(numberAt(*reuse, "p50"), 0)
                        : "-",
                  reuse ? sys::Table::num(numberAt(*reuse, "p95"), 0)
@@ -141,9 +144,9 @@ run(int argc, char **argv)
         sys::Table counts({"run", "churn_events", "churn_pages",
                            "churn_window"});
         for (const auto &[label, run, ps] : report.runs) {
-            counts.addRow({label, u64(numberAt(*ps, "churn_events")),
-                           u64(numberAt(*ps, "churn_pages")),
-                           u64(numberAt(*ps, "churn_window"))});
+            counts.addRow({label, u64(report, *ps, "churn_events"),
+                           u64(report, *ps, "churn_pages"),
+                           u64(report, *ps, "churn_window")});
         }
         std::cout << (csv ? counts.csv() : counts.str());
         if (!csv)
@@ -156,9 +159,9 @@ run(int argc, char **argv)
         const Value *pages = ps->find(section);
         if (!pages || pages->kind() != Value::Kind::Array)
             continue;
-        const unsigned n =
-            topN ? topN : unsigned(numberAt(*ps, "top_n"));
-        addTopPageRows(table, label, *pages, n ? n : 16);
+        const std::uint64_t n =
+            topN ? topN : report.count(ps->find("top_n"), "top_n");
+        addTopPageRows(table, report, label, *pages, n ? n : 16);
     }
     std::cout << (csv ? table.csv() : table.str());
     return 0;
