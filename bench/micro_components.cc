@@ -27,18 +27,22 @@
 
 using namespace griffin;
 
+// The bulk queue benchmarks keep one queue across iterations, so they
+// time the steady state a simulation runs in, not slab growth from
+// empty.
+
 static void
 BM_EventQueueScheduleRun(benchmark::State &state)
 {
     const std::size_t batch = std::size_t(state.range(0));
+    sim::EventQueue q;
+    std::uint64_t sink = 0;
     for (auto _ : state) {
-        sim::EventQueue q;
-        std::uint64_t sink = 0;
         for (std::size_t i = 0; i < batch; ++i)
             q.schedule(Tick(i % 97), [&sink] { ++sink; });
         q.run();
-        benchmark::DoNotOptimize(sink);
     }
+    benchmark::DoNotOptimize(sink);
     state.SetItemsProcessed(std::int64_t(state.iterations()) *
                             std::int64_t(batch));
 }
@@ -122,23 +126,59 @@ static void
 BM_EventQueueFarHorizonMix(benchmark::State &state)
 {
     // Deadlines far beyond the ladder window land in the spill heap
-    // and migrate into buckets as the window slides over them.
+    // and move into their buckets as the window rolls over them.
     const std::size_t batch = std::size_t(state.range(0));
+    sim::EventQueue q;
+    std::uint64_t sink = 0;
     for (auto _ : state) {
-        sim::EventQueue q;
-        std::uint64_t sink = 0;
         for (std::size_t i = 0; i < batch; ++i) {
-            const Tick when =
+            const Tick delay =
                 (i % 3 == 0) ? Tick(100000 + i * 37) : Tick(i % 800);
-            q.scheduleAt(when, [&sink] { ++sink; });
+            q.schedule(delay, [&sink] { ++sink; });
         }
         q.run();
-        benchmark::DoNotOptimize(sink);
     }
+    benchmark::DoNotOptimize(sink);
     state.SetItemsProcessed(std::int64_t(state.iterations()) *
                             std::int64_t(batch));
 }
 BENCHMARK(BM_EventQueueFarHorizonMix)->Arg(16384);
+
+static void
+BM_EventQueueRollingHorizon(benchmark::State &state)
+{
+    // Self-rescheduling chains with the schedule-delay mix of an SC
+    // first-touch run: 19% one tick, 43% 8..31 ticks, 37% 256..1023
+    // ticks, none past the ladder window. Each hop is one bucket
+    // append and one pop while now rolls the window forward.
+    const std::size_t chains = std::size_t(state.range(0));
+    constexpr std::size_t hopsPerIteration = 16384;
+    std::uint32_t rng = 1;
+    const auto nextDelay = [&rng] {
+        rng = rng * 1664525u + 1013904223u;
+        const std::uint32_t pick = (rng >> 8) % 100;
+        const std::uint32_t r = rng >> 20;
+        if (pick < 19)
+            return Tick(1);
+        if (pick < 62)
+            return Tick(8 + r % 24);
+        if (pick < 99)
+            return Tick(256 + r % 768);
+        return Tick(128 + r % 128);
+    };
+    sim::EventQueue q;
+    sim::InlineFn<void()> hop;
+    hop = [&] { q.schedule(nextDelay(), [&hop] { hop(); }); };
+    for (std::size_t c = 0; c < chains; ++c)
+        q.schedule(nextDelay(), [&hop] { hop(); });
+    for (auto _ : state) {
+        for (std::size_t i = 0; i < hopsPerIteration; ++i)
+            q.runOne();
+    }
+    state.SetItemsProcessed(std::int64_t(state.iterations()) *
+                            std::int64_t(hopsPerIteration));
+}
+BENCHMARK(BM_EventQueueRollingHorizon)->Arg(512);
 
 static void
 BM_CacheAccess(benchmark::State &state)

@@ -16,13 +16,16 @@ Engine::run()
     // previous run must not make this run return immediately.
     _stopRequested = false;
     for (;;) {
-        const Tick next = _queue.nextTime();
-        if (next == maxTick)
-            break; // drained
-        if (!_hooks.empty())
+        // Only periodic hooks need the next event's tick before it
+        // runs; otherwise runOne() finds the front and reports a drain.
+        if (!_hooks.empty()) {
+            const Tick next = _queue.nextTime();
+            if (next == maxTick)
+                break; // drained
             fireHooksUpTo(next);
+        }
         if (!_queue.runOne())
-            break;
+            break; // drained
         if (_queue.now() > _maxTicks) {
             std::string msg = "simulation watchdog tripped at tick " +
                               std::to_string(_queue.now()) +

@@ -65,27 +65,17 @@ EventQueue::cancelTimeout(TimerId id)
     --_size;
     ++_deadEntries;
 
-    if (_size == 0) {
-        // Everything left is tombstones; reclaim them all right now so
-        // an idle queue holds no memory for cancelled work.
-        resetWindow();
-    } else {
-        settle();
-        if (_deadEntries > 64 && _deadEntries > _size)
-            compact();
-    }
+    // With no live events left, settle() reclaims every tombstone, so
+    // an idle queue holds no memory for cancelled work.
+    settle();
+    if (_deadEntries > 64 && _deadEntries > _size)
+        compact();
     return true;
 }
 
 std::uint32_t
 EventQueue::push(Tick when, EventFn &&fn, bool timer)
 {
-    if (_size == 0) {
-        // The queue is empty: drop any tombstone residue and re-anchor
-        // the ladder window at the current time, restoring the
-        // invariant that resident ticks span less than one window.
-        resetWindow();
-    }
     ++_size;
     std::uint32_t slot = _freeHead;
     if (slot != nil) {
@@ -101,11 +91,12 @@ EventQueue::push(Tick when, EventFn &&fn, bool timer)
 
     if (_refMode)
         _ref.push({when, _nextSeq++, slot});
-    else if (when < _windowEnd)
+    else if (inWindow(when))
         append(when & (ladderBuckets - 1), slot);
     else {
         _spill.push_back({when, _nextSeq++, slot});
         std::push_heap(_spill.begin(), _spill.end(), Later{});
+        ++_spilled;
     }
     return slot;
 }
@@ -126,8 +117,7 @@ EventQueue::freeSlot(std::uint32_t slot)
 void
 EventQueue::append(std::size_t idx, std::uint32_t slot)
 {
-    assert(_slots[slot].when >= _now && _slots[slot].when >= _windowBase &&
-           _slots[slot].when < _windowEnd);
+    assert(_slots[slot].when >= _now && inWindow(_slots[slot].when));
     Bucket &bk = _ladder[idx];
     _slots[slot].next = nil;
     if (bk.tail == nil) {
@@ -164,11 +154,10 @@ EventQueue::popSpill()
 int
 EventQueue::nextBucketIndex() const
 {
-    // Circular scan of the non-empty bitmap anchored at the current
-    // position inside the window: bucket (anchor + p) % N holds tick
-    // anchor + p, so index order in this scan IS time order.
-    const Tick anchor = std::max(_now, _windowBase);
-    const std::size_t start = anchor & (ladderBuckets - 1);
+    // Circular scan of the non-empty bitmap anchored at now: every
+    // entry lies in [now, now + N), so bucket (now + p) % N holds tick
+    // now + p and index order in this scan IS time order.
+    const std::size_t start = _now & (ladderBuckets - 1);
     const std::size_t startWord = start >> 6;
     const std::size_t startBit = start & 63;
     for (std::size_t k = 0; k <= bitmapWords; ++k) {
@@ -187,16 +176,13 @@ EventQueue::nextBucketIndex() const
 }
 
 void
-EventQueue::slideWindow()
+EventQueue::refill()
 {
-    // The ladder is empty and settle() left the spill's front live;
-    // re-anchor the window on it and move everything that now fits.
-    // Heap pops come out in (when, seq) order, so bucket append order
-    // stays schedule order.
-    assert(!_spill.empty() && !dead(_spill.front().slot));
-    _windowBase = _spill.front().when;
-    _windowEnd = _windowBase + ladderBuckets;
-    while (!_spill.empty() && _spill.front().when < _windowEnd) {
+    // advanceTo() calls this once the spill's front has entered the
+    // window. Heap pops come out in (when, seq) order, and every key
+    // for a tick moves before a later schedule can target it, so
+    // bucket append order stays schedule order.
+    do {
         const Tick when = _spill.front().when;
         const std::uint32_t slot = popSpill();
         if (dead(slot)) {
@@ -205,7 +191,7 @@ EventQueue::slideWindow()
         } else {
             append(when & (ladderBuckets - 1), slot);
         }
-    }
+    } while (spillFrontInWindow());
 }
 
 Tick
@@ -248,30 +234,6 @@ EventQueue::settle()
         freeSlot(slot);
         --_deadEntries;
     }
-}
-
-void
-EventQueue::resetWindow()
-{
-    assert(_size == 0);
-    // Every resident entry is a tombstone; free them all.
-    if (_deadEntries > 0) {
-        for (std::size_t w = 0; w < bitmapWords; ++w) {
-            while (_bits[w]) {
-                const std::size_t idx =
-                    w * 64 + std::size_t(std::countr_zero(_bits[w]));
-                freeSlot(popBucket(idx));
-            }
-        }
-        for (const Key &k : _spill)
-            freeSlot(k.slot);
-        _spill.clear();
-        while (!_ref.empty())
-            freeSlot(_ref.pop().slot);
-        _deadEntries = 0;
-    }
-    _windowBase = _now;
-    _windowEnd = _now + ladderBuckets;
 }
 
 void
@@ -348,14 +310,16 @@ EventQueue::runOne()
     } else {
         int b = nextBucketIndex();
         if (b < 0) {
-            slideWindow();
-            b = nextBucketIndex();
+            // The ladder is empty and the spill's front is live: jump
+            // to it, which brings its tick into the window.
+            advanceTo(_spill.front().when);
+            b = static_cast<int>(_now & (ladderBuckets - 1));
         }
         slot = popBucket(static_cast<std::size_t>(b));
     }
     Slot &s = _slots[slot];
     assert(!s.cancelled && s.when >= _now);
-    _now = s.when;
+    advanceTo(s.when);
     ++_executed;
     --_size;
     if (s.timer)
@@ -366,13 +330,10 @@ EventQueue::runOne()
     // cancels itself must find its id already stale.
     const EventFn fn = std::move(s.fn);
     freeSlot(slot);
-    // A drained queue holds no live work: purge any tombstone residue
-    // so empty() also means "no resident memory". Otherwise prune the
-    // front now, so the queue is consistent even if the callback
-    // throws.
-    if (_size == 0)
-        resetWindow();
-    else
+    // Prune the front now, so the queue is consistent even if the
+    // callback throws; on a drained queue this purges all tombstone
+    // residue, so empty() also means "no resident memory".
+    if (_deadEntries > 0)
         settle();
 
     if (auto *prof = _obs.prof) {
@@ -413,7 +374,7 @@ EventQueue::runUntil(Tick limit)
     // The caller asked for this much simulated time to pass; advance
     // even when the queue drained early (see the header contract).
     if (_now < limit)
-        _now = limit;
+        advanceTo(limit);
     return _now;
 }
 

@@ -11,14 +11,14 @@
  * The slots are ordered by two tiers (see DESIGN.md "Scheduler
  * internals"):
  *
- *  - a LADDER of 1024 one-tick buckets covering a sliding window of
- *    the near future. Each bucket is an intrusive FIFO list of slots,
- *    so append order IS schedule order and an event for the current
- *    tick simply joins the tail of the bucket being consumed;
- *  - a SPILL HEAP of 24-byte (when, seq, slot) keys for events beyond
- *    the window. When the ladder empties, the window slides to the
- *    spill's earliest event and everything inside the new window
- *    moves into its bucket in (when, seq) order, preserving the
+ *  - a LADDER of 1024 one-tick buckets covering the rolling window
+ *    [now, now + 1024). Each bucket is an intrusive FIFO list of
+ *    slots, so append order IS schedule order and an event for the
+ *    current tick simply joins the tail of the bucket being consumed;
+ *  - a SPILL HEAP of 24-byte (when, seq, slot) keys for events at or
+ *    beyond the window's end. Whenever now advances, every key the
+ *    window has reached moves into its bucket in (when, seq) order,
+ *    before any later schedule can target its tick, preserving the
  *    global FIFO contract.
  *
  * Event callbacks are sim::InlineFn (inline capture storage, no
@@ -171,6 +171,9 @@ class EventQueue
     /** Slab slots ever allocated (the free list recycles them). */
     std::size_t slotsAllocated() const { return _slots.size(); }
 
+    /** Events filed in the spill heap since construction. */
+    std::uint64_t spilledEvents() const { return _spilled; }
+
     /** @} */
 
     /** @name Reference scheduler (differential testing) @{ */
@@ -245,15 +248,14 @@ class EventQueue
     std::vector<Slot> _slots;
     std::uint32_t _freeHead = nil;
 
-    /** Tier 1: per-tick buckets over [_windowBase, _windowEnd). */
+    /** Tier 1: per-tick buckets over [_now, _now + ladderBuckets). */
     std::array<Bucket, ladderBuckets> _ladder;
     /** Bit i set iff _ladder[i] holds entries. */
     std::uint64_t _bits[bitmapWords] = {};
-    Tick _windowBase = 0;
-    Tick _windowEnd = ladderBuckets;
 
-    /** Tier 2: min-heap of keys at or beyond _windowEnd. */
+    /** Tier 2: min-heap of keys at or beyond _now + ladderBuckets. */
     std::vector<Key> _spill;
+    std::uint64_t _spilled = 0;
 
     /** Reference mode: one naive heap replaces both tiers. */
     bool _refMode = false;
@@ -273,6 +275,30 @@ class EventQueue
 
     bool dead(std::uint32_t slot) const { return _slots[slot].cancelled; }
 
+    /**
+     * True when @p when (>= now) falls inside the ladder window. The
+     * unsigned difference cannot wrap, so a window reaching past
+     * maxTick still takes every event up to it.
+     */
+    bool inWindow(Tick when) const { return when - _now < ladderBuckets; }
+    bool
+    spillFrontInWindow() const
+    {
+        return !_spill.empty() && inWindow(_spill.front().when);
+    }
+    /**
+     * Move the clock forward to @p t and refill the window it now
+     * covers; every advance of now goes through here, before any
+     * callback at the new time can schedule.
+     */
+    void
+    advanceTo(Tick t)
+    {
+        _now = t;
+        if (spillFrontInWindow())
+            refill();
+    }
+
     /** Give @p fn a slot and file it by @p when; returns the slot. */
     std::uint32_t push(Tick when, EventFn &&fn, bool timer);
     /** Return a slot to the free list, bumping its generation. */
@@ -285,12 +311,13 @@ class EventQueue
     void clearBit(std::size_t i) { _bits[i >> 6] &= ~(1ull << (i & 63)); }
     /** Earliest non-empty bucket in window scan order, or -1. */
     int nextBucketIndex() const;
-    /** Re-anchor the window on the spill's earliest event. */
-    void slideWindow();
-    /** Free the cancelled tombstones at the front of the pop order. */
+    /** Move every spill key inside the window into its bucket. */
+    void refill();
+    /**
+     * Free the cancelled tombstones at the front of the pop order; on
+     * a queue with no live events that is every resident entry.
+     */
     void settle();
-    /** Free all tombstone residue and re-anchor the window at now. */
-    void resetWindow();
     /** Free every tombstone from every tier (amortized reclaim). */
     void compact();
 };

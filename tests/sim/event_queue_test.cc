@@ -368,11 +368,11 @@ TEST(EventQueueStress, InterleavedEventsAndCancelsStayOrdered)
 }
 
 // --- Window-boundary properties ------------------------------------
-// The ladder covers a sliding 1024-tick window; events beyond it land
-// in the spill heap and redistribute into the ladder when the window
-// slides. Nothing about that seam may be observable: FIFO within a
-// tick, global time order, and nextTime() exactness all hold on both
-// sides of the boundary and across a slide.
+// The ladder covers the rolling window [now, now + 1024); events
+// beyond it land in the spill heap and move into the ladder as now
+// advances over them. Nothing about that seam may be observable: FIFO
+// within a tick, global time order, and nextTime() exactness all hold
+// on both sides of the boundary and as the window rolls.
 
 TEST(EventQueueWindow, FifoHoldsAcrossTheLadderSpillBoundary)
 {
@@ -401,7 +401,7 @@ TEST(EventQueueWindow, FifoHoldsAcrossTheLadderSpillBoundary)
 TEST(EventQueueWindow, SpillRedistributionPreservesFifoWithinTick)
 {
     // All 64 events share one far-future tick, so every one takes the
-    // spill -> slide -> ladder -> ring path; schedule order survives it.
+    // spill -> refill -> ladder path; schedule order survives it.
     EventQueue q;
     std::vector<int> order;
     for (int i = 0; i < 64; ++i)
@@ -415,8 +415,9 @@ TEST(EventQueueWindow, SpillRedistributionPreservesFifoWithinTick)
 TEST(EventQueueWindow, LateArrivalsAtARedistributedTickStayFifo)
 {
     // The first four events at tick 5000 spill; at tick 4000 the
-    // window has slid so 5000 is a ladder bucket, and four more events
-    // append there directly. Global schedule order must still win.
+    // window has rolled so 5000 is a ladder bucket, and four more
+    // events append there directly. Global schedule order must still
+    // win.
     EventQueue q;
     std::vector<int> order;
     for (int i = 0; i < 4; ++i)
@@ -455,11 +456,11 @@ TEST(EventQueueWindow, NextTimeIsExactAfterCancelsAroundTheBoundary)
     EXPECT_EQ(q.nextTime(), griffin::maxTick);
 }
 
-TEST(EventQueueWindow, CancelledSpillTopDoesNotBlockTheSlide)
+TEST(EventQueueWindow, CancelledSpillTopDoesNotBlockTheJump)
 {
-    // The spill's earliest entry is a cancelled timeout: the window
-    // must slide to the first live event, not anchor on (or fire at)
-    // the tombstone's deadline.
+    // The spill's earliest entry is a cancelled timeout: an empty
+    // ladder must jump to the first live event, not stop on (or fire
+    // at) the tombstone's deadline.
     EventQueue q;
     const auto dead = q.scheduleTimeout(2000, [] {});
     Tick firedAt = 0;
@@ -472,23 +473,56 @@ TEST(EventQueueWindow, CancelledSpillTopDoesNotBlockTheSlide)
 TEST(EventQueueWindow, TieredAndReferenceSchedulersAgreeOnOrder)
 {
     // One randomized script — bursty delays straddling the window,
-    // timer arms, cancels, partial drains — must fire callbacks in the
-    // identical order on the tiered queue and on the naive reference
-    // heap (the differential the fuzz oracles rely on).
-    const auto script = [](EventQueue &q, std::vector<int> &order) {
+    // timer arms, cancels, partial drains, and callbacks that schedule
+    // follow-ups from wherever now has advanced to — must fire
+    // callbacks in the identical order on the tiered queue and on the
+    // naive reference heap (the differential the fuzz oracles rely
+    // on).
+    struct Script
+    {
+        EventQueue &q;
+        std::vector<int> &order;
         std::uint32_t rng = 2024;
-        std::vector<griffin::sim::TimerId> timers;
         int id = 0;
-        for (int i = 0; i < 3000; ++i) {
+        int followUps = 6000;
+
+        std::uint32_t
+        draw()
+        {
             rng = rng * 1664525u + 1013904223u;
+            return rng;
+        }
+
+        // Each callback records itself and, while the budget lasts,
+        // schedules one follow-up 0..2047 ticks after its own now.
+        void
+        fire(int self)
+        {
+            order.push_back(self);
+            if (followUps <= 0)
+                return;
+            --followUps;
+            const std::uint32_t r = draw();
+            const int child = id++;
+            q.schedule((r >> 20) & 2047, [this, child] { fire(child); });
+        }
+    };
+
+    const auto script = [](EventQueue &q, std::vector<int> &order) {
+        Script sc{q, order};
+        std::vector<griffin::sim::TimerId> timers;
+        for (int i = 0; i < 3000; ++i) {
+            const std::uint32_t rng = sc.draw();
             const Tick delay = (rng >> 20) & 4095; // straddles 1024
+            const int id = sc.id++;
             if ((rng & 3) == 0) {
                 timers.push_back(q.scheduleTimeout(
                     delay + 1, [&order, id] { order.push_back(id); }));
-            } else {
+            } else if ((rng & 3) == 1) {
                 q.schedule(delay, [&order, id] { order.push_back(id); });
+            } else {
+                q.schedule(delay, [&sc, id] { sc.fire(id); });
             }
-            ++id;
             if ((rng & 15) == 1 && !timers.empty()) {
                 q.cancelTimeout(timers.back());
                 timers.pop_back();
@@ -513,6 +547,79 @@ TEST(EventQueueWindow, TieredAndReferenceSchedulersAgreeOnOrder)
     EXPECT_EQ(tieredOrder, referenceOrder);
     EXPECT_EQ(tiered.eventsExecuted(), reference.eventsExecuted());
     EXPECT_EQ(tiered.now(), reference.now());
+}
+
+TEST(EventQueueWindow, SpilledEventRunsBeforeALaterScheduleForItsTick)
+{
+    // A is filed for tick 5000 while it lies past the window. A
+    // heartbeat that reschedules itself every 100 ticks keeps the
+    // ladder from ever draining, so the window rolls over 5000 with
+    // other work resident. B, scheduled for the same tick by the
+    // heartbeat once it is near, must still run after A.
+    EventQueue q;
+    std::vector<char> order;
+    q.scheduleAt(5000, [&] { order.push_back('A'); });
+    griffin::sim::InlineFn<void()> beat;
+    beat = [&] {
+        if (q.now() == 4500)
+            q.scheduleAt(5000, [&] { order.push_back('B'); });
+        if (q.now() < 6000)
+            q.schedule(100, [&] { beat(); });
+    };
+    q.schedule(100, [&] { beat(); });
+    q.run();
+    EXPECT_EQ(order, (std::vector<char>{'A', 'B'}));
+    EXPECT_EQ(q.now(), 6000u);
+    EXPECT_EQ(q.spilledEvents(), 1u);
+}
+
+TEST(EventQueueWindow, RunUntilBringsSpilledEventsIntoTheWindowInOrder)
+{
+    // The same ordering when runUntil() is what moves now far enough
+    // for tick 5000 to enter the window.
+    EventQueue q;
+    std::vector<char> order;
+    q.scheduleAt(5000, [&] { order.push_back('A'); });
+    q.scheduleAt(9000, [] {});
+    q.runUntil(4500);
+    ASSERT_EQ(q.now(), 4500u);
+    q.scheduleAt(5000, [&] { order.push_back('B'); });
+    EXPECT_EQ(q.spilledEvents(), 2u);
+    q.run();
+    EXPECT_EQ(order, (std::vector<char>{'A', 'B'}));
+    EXPECT_EQ(q.now(), 9000u);
+}
+
+TEST(EventQueueWindow, ChainsBelowTheWindowWidthNeverSpill)
+{
+    // Self-rescheduling chains whose delays mirror the SC fabric mix
+    // (1 tick, 8..31, 256..1023 — every one under the ladder width)
+    // must never touch the spill, however far now moves.
+    EventQueue q;
+    std::uint32_t rng = 7;
+    std::uint64_t left = 200000;
+    griffin::sim::InlineFn<void()> hop;
+    hop = [&] {
+        if (left == 0)
+            return;
+        --left;
+        rng = rng * 1664525u + 1013904223u;
+        const std::uint32_t r = rng >> 16;
+        const Tick delay = (r % 5 == 0)   ? 1
+                           : (r % 5 < 3) ? 8 + r % 24
+                                         : 256 + r % 768;
+        q.schedule(delay, [&] { hop(); });
+    };
+    for (int chain = 0; chain < 64; ++chain)
+        q.schedule(Tick(chain), [&] { hop(); });
+    q.run();
+    EXPECT_EQ(q.eventsExecuted(), 64u + 200000u);
+    EXPECT_GT(q.now(), 100u * 1024u);
+    EXPECT_EQ(q.spilledEvents(), 0u);
+
+    // One tick further is past the window.
+    q.schedule(1024, [] {});
+    EXPECT_EQ(q.spilledEvents(), 1u);
 }
 
 TEST(EventQueue, ManyEventsKeepTotalOrder)
@@ -666,9 +773,9 @@ TEST(EventQueueSlab, LongSameTickCascadeStaysFifoAndBounded)
 
 TEST(EventQueueSlab, ScheduleAtNowAfterRunUntilPastTheWindowStaysFifo)
 {
-    // runUntil() moves now far past the ladder window while a spill
-    // event keeps the queue non-empty; events at now then enter
-    // through the spill and must still run in schedule order.
+    // runUntil() moves now thousands of ticks while a spill event
+    // keeps the queue non-empty; the window rolls with it, so events
+    // at the new now enter the ladder and run in schedule order.
     EventQueue q;
     std::vector<int> order;
     q.schedule(100000, [&] { order.push_back(99); });
@@ -685,4 +792,21 @@ TEST(EventQueueSlab, ScheduleAtNowAfterRunUntilPastTheWindowStaysFifo)
     q.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 99}));
     EXPECT_EQ(q.now(), 100000u);
+}
+
+TEST(EventQueueSlab, DeadlineNearMaxTickRuns)
+{
+    // A window that would reach past maxTick must not wrap: events
+    // near the end of time still enter the ladder and run.
+    EventQueue q;
+    q.runUntil(griffin::maxTick - 10);
+    std::vector<int> order;
+    q.schedule(3, [&] { order.push_back(0); });
+    q.scheduleAt(griffin::maxTick - 1, [&] { order.push_back(1); });
+    q.schedule(3, [&] { order.push_back(2); });
+    EXPECT_EQ(q.nextTime(), griffin::maxTick - 7);
+    EXPECT_EQ(q.spilledEvents(), 0u);
+    EXPECT_EQ(q.run(), griffin::maxTick - 1);
+    EXPECT_EQ(order, (std::vector<int>{0, 2, 1}));
+    EXPECT_TRUE(q.empty());
 }
