@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <vector>
 
 #include "src/core/dpc.hh"
@@ -27,9 +28,9 @@
 
 using namespace griffin;
 
-// The bulk queue benchmarks keep one queue across iterations, so they
-// time the steady state a simulation runs in, not slab growth from
-// empty.
+// The queue benchmarks keep one queue across iterations, so they time
+// the steady state a simulation runs in, not slab and callback-chunk
+// growth from empty.
 
 static void
 BM_EventQueueScheduleRun(benchmark::State &state)
@@ -49,14 +50,34 @@ BM_EventQueueScheduleRun(benchmark::State &state)
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1024)->Arg(16384);
 
 static void
+BM_EventQueueScheduleRunShared(benchmark::State &state)
+{
+    // ScheduleRun with a shared_ptr in every capture: a capture that is
+    // not trivially copyable, so any move of it goes through its move
+    // constructor and its destruction through its destructor.
+    const std::size_t batch = std::size_t(state.range(0));
+    sim::EventQueue q;
+    const auto sink = std::make_shared<std::uint64_t>(0);
+    for (auto _ : state) {
+        for (std::size_t i = 0; i < batch; ++i)
+            q.schedule(Tick(i % 97), [sink] { ++*sink; });
+        q.run();
+    }
+    benchmark::DoNotOptimize(*sink);
+    state.SetItemsProcessed(std::int64_t(state.iterations()) *
+                            std::int64_t(batch));
+}
+BENCHMARK(BM_EventQueueScheduleRunShared)->Arg(1024)->Arg(16384);
+
+static void
 BM_EventQueueSameTickCascade(benchmark::State &state)
 {
     // Zero-delay continuations: each hop joins the tail of the
     // bucket being consumed, and the queue must sustain them without
     // growing.
     const std::uint64_t hops = std::uint64_t(state.range(0));
+    sim::EventQueue q;
     for (auto _ : state) {
-        sim::EventQueue q;
         std::uint64_t left = hops;
         sim::InlineFn<void()> step;
         step = [&] {
@@ -79,8 +100,8 @@ BM_EventQueueHopChain(benchmark::State &state)
     // moves time forward a little, so events flow through the ladder
     // buckets one tick apart.
     const std::uint64_t hops = std::uint64_t(state.range(0));
+    sim::EventQueue q;
     for (auto _ : state) {
-        sim::EventQueue q;
         std::uint64_t left = hops;
         sim::InlineFn<void()> step;
         step = [&] {
@@ -104,8 +125,8 @@ BM_EventQueueTimerChurn(benchmark::State &state)
     // cancelTimeout round trips, including tombstone reclaim.
     const std::size_t batch = std::size_t(state.range(0));
     std::vector<sim::TimerId> ids(batch);
+    sim::EventQueue q;
     for (auto _ : state) {
-        sim::EventQueue q;
         std::uint64_t sink = 0;
         for (std::size_t i = 0; i < batch; ++i)
             ids[i] = q.scheduleTimeout(Tick(100 + i % 1000),

@@ -9,6 +9,9 @@ namespace griffin::ic {
 Link::Link(const LinkConfig &config) : _config(config)
 {
     assert(config.bytesPerCycle > 0.0);
+    const double bpc = config.bytesPerCycle;
+    if (bpc >= 1.0 && bpc < 0x1p53 && bpc == std::floor(bpc))
+        _wholeBytesPerCycle = std::uint64_t(bpc);
 }
 
 void
@@ -41,18 +44,26 @@ Link::send(Tick now, unsigned dir, std::uint64_t bytes)
     assert(bytes > 0);
 
     const Tick start = std::max(now, _nextFree[dir]);
-    // Simulation time is monotone, so any later send (either
-    // direction) starts at or after now: windows closed by now are
-    // dead and can be dropped.
-    std::erase_if(_windows, [&](const Window &w) { return w.until <= now; });
-    double bpc = _config.bytesPerCycle;
-    const double factor = degradeFactorAt(start);
-    if (factor < 1.0) {
-        bpc *= factor;
-        ++degradedMessages;
+    Tick service;
+    if (_windows.empty() && _wholeBytesPerCycle != 0) {
+        // The common case: full bandwidth, a whole number of bytes per
+        // cycle. bytes > 0, so this is at least one cycle.
+        const std::uint64_t bpc = _wholeBytesPerCycle;
+        service = bytes / bpc + (bytes % bpc != 0);
+    } else {
+        // Simulation time is monotone, so any later send (either
+        // direction) starts at or after now: windows closed by now
+        // are dead and can be dropped.
+        std::erase_if(_windows,
+                      [&](const Window &w) { return w.until <= now; });
+        double bpc = _config.bytesPerCycle;
+        const double factor = degradeFactorAt(start);
+        if (factor < 1.0) {
+            bpc *= factor;
+            ++degradedMessages;
+        }
+        service = std::max<Tick>(1, Tick(std::ceil(double(bytes) / bpc)));
     }
-    const Tick service =
-        std::max<Tick>(1, Tick(std::ceil(double(bytes) / bpc)));
     _nextFree[dir] = start + service;
 
     ++messages[dir];

@@ -95,6 +95,12 @@ class Link
     };
 
     LinkConfig _config;
+    /**
+     * bytesPerCycle when it is a whole number, else 0. With no window
+     * open, send() then serializes with integer arithmetic, which
+     * equals the double ceil(bytes / bytesPerCycle) for bytes < 2^53.
+     */
+    std::uint64_t _wholeBytesPerCycle = 0;
     Tick _nextFree[2] = {0, 0};
     /**
      * Open degradation windows. Kept minimal: degrade() drops windows

@@ -23,25 +23,14 @@ EventQueue::enableReferenceMode()
     _refMode = true;
 }
 
-void
-EventQueue::scheduleAt(Tick when, EventFn fn)
+Tick
+EventQueue::clampPast(Tick when) const
 {
-    if (when < _now) {
-        // A component computed an absolute time that already passed —
-        // diagnose loudly, then clamp so time stays monotone.
-        GLOG(Warn, "scheduleAt(" << when << ") is in the past (now "
-                                 << _now << "); clamping to now");
-        when = _now;
-    }
-    push(when, std::move(fn), false);
-}
-
-TimerId
-EventQueue::scheduleTimeout(Tick delay, EventFn fn)
-{
-    const std::uint32_t slot = push(_now + delay, std::move(fn), true);
-    ++_pendingTimerCount;
-    return (TimerId(_slots[slot].gen) << 32) | slot;
+    // A component computed an absolute time that already passed —
+    // diagnose loudly, then clamp so time stays monotone.
+    GLOG(Warn, "scheduleAt(" << when << ") is in the past (now " << _now
+                             << "); clamping to now");
+    return _now;
 }
 
 bool
@@ -60,7 +49,7 @@ EventQueue::cancelTimeout(TimerId id)
     // as a tombstone; front-pruning (settle) or amortized compaction
     // frees the slot later.
     s.cancelled = true;
-    s.fn = nullptr;
+    fnOf(slot) = nullptr;
     --_pendingTimerCount;
     --_size;
     ++_deadEntries;
@@ -74,20 +63,24 @@ EventQueue::cancelTimeout(TimerId id)
 }
 
 std::uint32_t
-EventQueue::push(Tick when, EventFn &&fn, bool timer)
+EventQueue::growSlab()
+{
+    const auto slot = static_cast<std::uint32_t>(_slots.size());
+    _slots.emplace_back();
+    if (slot % callbackChunkSize == 0)
+        _fns.push_back(std::make_unique<EventFn[]>(callbackChunkSize));
+    return slot;
+}
+
+void
+EventQueue::file(std::uint32_t slot, Tick when, bool timer)
 {
     ++_size;
-    std::uint32_t slot = _freeHead;
-    if (slot != nil) {
-        _freeHead = _slots[slot].next;
-    } else {
-        slot = static_cast<std::uint32_t>(_slots.size());
-        _slots.emplace_back();
-    }
     Slot &s = _slots[slot];
     s.when = when;
     s.timer = timer;
-    s.fn = std::move(fn);
+    if (timer)
+        ++_pendingTimerCount;
 
     if (_refMode)
         _ref.push({when, _nextSeq++, slot});
@@ -98,20 +91,24 @@ EventQueue::push(Tick when, EventFn &&fn, bool timer)
         std::push_heap(_spill.begin(), _spill.end(), Later{});
         ++_spilled;
     }
-    return slot;
+}
+
+void
+EventQueue::retire(std::uint32_t slot)
+{
+    Slot &s = _slots[slot];
+    s.timer = false;
+    s.cancelled = false;
+    if (++s.gen == 0)
+        s.gen = 1;
 }
 
 void
 EventQueue::freeSlot(std::uint32_t slot)
 {
-    Slot &s = _slots[slot];
-    assert(!s.fn && "a slot is freed only once its callback is gone");
-    s.timer = false;
-    s.cancelled = false;
-    if (++s.gen == 0)
-        s.gen = 1;
-    s.next = _freeHead;
-    _freeHead = slot;
+    assert(!fnOf(slot) && "a slot is freed only once its callback is gone");
+    retire(slot);
+    release(slot);
 }
 
 void
@@ -317,7 +314,7 @@ EventQueue::runOne()
         }
         slot = popBucket(static_cast<std::size_t>(b));
     }
-    Slot &s = _slots[slot];
+    const Slot &s = _slots[slot];
     assert(!s.cancelled && s.when >= _now);
     advanceTo(s.when);
     ++_executed;
@@ -325,32 +322,39 @@ EventQueue::runOne()
     if (s.timer)
         --_pendingTimerCount;
 
-    // Move the callback out and free its slot before dispatching: the
-    // callback may schedule (growing the slab), and a timer that
-    // cancels itself must find its id already stale.
-    const EventFn fn = std::move(s.fn);
-    freeSlot(slot);
+    // Retire the id before dispatching, so a timer that cancels itself
+    // finds it stale. The slot stays off the free list until its
+    // callback is gone, and callbacks live in chunks apart from the
+    // slab, so whatever the callback schedules cannot move it.
+    retire(slot);
     // Prune the front now, so the queue is consistent even if the
     // callback throws; on a drained queue this purges all tombstone
     // residue, so empty() also means "no resident memory".
     if (_deadEntries > 0)
         settle();
 
-    if (auto *prof = _obs.prof) {
-        // Bracket the dispatch so the profiler can attribute the
-        // callback's wall time; end it even if the callback throws
-        // (the watchdog surfaces errors as exceptions mid-run).
-        prof->beginDispatch();
-        try {
-            fn();
-        } catch (...) {
-            prof->endDispatch();
-            throw;
+    // Bracket the dispatch so the profiler can attribute the
+    // callback's wall time, then destroy the callback in place and
+    // free its slot; all of it also when the callback throws (the
+    // watchdog surfaces errors as exceptions mid-run).
+    struct Dispatch
+    {
+        EventQueue &q;
+        std::uint32_t slot;
+        EventFn &fn;
+        obs::HostProfiler *prof;
+        ~Dispatch()
+        {
+            if (prof)
+                prof->endDispatch();
+            fn = nullptr;
+            q.release(slot);
         }
-        prof->endDispatch();
-    } else {
-        fn();
-    }
+    };
+    const Dispatch dispatch{*this, slot, fnOf(slot), _obs.prof};
+    if (dispatch.prof)
+        dispatch.prof->beginDispatch();
+    dispatch.fn();
     return true;
 }
 

@@ -6,10 +6,11 @@
  * scheduled (FIFO), which makes whole-system simulation results fully
  * reproducible for a given seed.
  *
- * Each pending event is one slot in a per-queue slab: the callback is
- * moved in once at schedule time and out once just before it runs.
- * The slots are ordered by two tiers (see DESIGN.md "Scheduler
- * internals"):
+ * Each pending event is one 24-byte slot in a per-queue slab, and its
+ * callback is built in place, at schedule time, in a callback chunk
+ * that never moves; runOne() invokes it there and destroys it once it
+ * returns. The slots are ordered by two tiers (see DESIGN.md
+ * "Scheduler internals"):
  *
  *  - a LADDER of 1024 one-tick buckets covering the rolling window
  *    [now, now + 1024). Each bucket is an intrusive FIFO list of
@@ -33,6 +34,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/obs/context.hh"
@@ -66,6 +69,8 @@ inline constexpr TimerId invalidTimerId = 0;
 class EventQueue
 {
   public:
+    /** Allocates nothing; the first callback chunk comes with the
+     * first schedule. */
     EventQueue() = default;
 
     EventQueue(const EventQueue &) = delete;
@@ -80,8 +85,17 @@ class EventQueue
      * Schedule @p fn to run @p delay ticks from now.
      * A zero delay runs the callback later in the current tick, after
      * all previously scheduled work for this tick.
+     *
+     * Every schedule call builds its callable once, in its slot's
+     * callback storage, from @p fn as passed (an EventFn argument is
+     * moved in once); it is not moved again before it runs.
      */
-    void schedule(Tick delay, EventFn fn) { push(_now + delay, std::move(fn), false); }
+    template <typename F>
+    void
+    schedule(Tick delay, F &&fn)
+    {
+        push(_now + delay, false, std::forward<F>(fn));
+    }
 
     /**
      * Schedule @p fn at absolute time @p when. Scheduling in the past
@@ -90,7 +104,14 @@ class EventQueue
      * the event still executes (after all previously scheduled work
      * for the current tick).
      */
-    void scheduleAt(Tick when, EventFn fn);
+    template <typename F>
+    void
+    scheduleAt(Tick when, F &&fn)
+    {
+        if (when < _now) [[unlikely]]
+            when = clampPast(when);
+        push(when, false, std::forward<F>(fn));
+    }
 
     /**
      * Schedule @p fn like schedule(), but return a handle that
@@ -99,7 +120,14 @@ class EventQueue
      * the common path and cancelled on the common path: a cancelled
      * timeout neither fires nor extends the simulated end time.
      */
-    TimerId scheduleTimeout(Tick delay, EventFn fn);
+    template <typename F>
+    TimerId
+    scheduleTimeout(Tick delay, F &&fn)
+    {
+        const std::uint32_t slot =
+            push(_now + delay, true, std::forward<F>(fn));
+        return (TimerId(_slots[slot].gen) << 32) | slot;
+    }
 
     /**
      * Cancel a pending timeout in O(1). The callback is destroyed
@@ -171,6 +199,12 @@ class EventQueue
     /** Slab slots ever allocated (the free list recycles them). */
     std::size_t slotsAllocated() const { return _slots.size(); }
 
+    /** Callbacks per callback chunk; slot i's lives in chunk i / this. */
+    static constexpr std::size_t callbackChunkSize = 256;
+
+    /** Callback chunks allocated (one per callbackChunkSize slots). */
+    std::size_t callbackChunks() const { return _fns.size(); }
+
     /** Events filed in the spill heap since construction. */
     std::uint64_t spilledEvents() const { return _spilled; }
 
@@ -200,10 +234,12 @@ class EventQueue
     static constexpr std::uint32_t nil = ~std::uint32_t(0);
 
     /**
-     * One pending event, or a free slot. A slot leaves the free list
-     * when its event is scheduled and returns when the event runs or,
-     * once cancelled, when its tier drops the tombstone; returning
-     * bumps the generation, so a stale TimerId never matches again.
+     * One pending event, or a free slot; its callback lives apart, at
+     * the same index in the callback chunks. A slot leaves the free
+     * list when its event is scheduled and returns once the event has
+     * run or, once cancelled, when its tier drops the tombstone. Its
+     * generation is bumped when the event is dispatched or its
+     * tombstone freed, so a stale TimerId never matches again.
      */
     struct Slot
     {
@@ -215,8 +251,8 @@ class EventQueue
         bool timer = false;
         /** A cancelled timeout: a tombstone awaiting reclaim. */
         bool cancelled = false;
-        EventFn fn;
     };
+    static_assert(sizeof(Slot) == 24);
 
     /** A spill or reference heap entry; ties on when resolve by seq. */
     struct Key
@@ -247,6 +283,11 @@ class EventQueue
 
     std::vector<Slot> _slots;
     std::uint32_t _freeHead = nil;
+    /**
+     * The slots' callbacks, in fixed-size chunks that never move, so
+     * growing the slab while a callback runs leaves it in place.
+     */
+    std::vector<std::unique_ptr<EventFn[]>> _fns;
 
     /** Tier 1: per-tick buckets over [_now, _now + ladderBuckets). */
     std::array<Bucket, ladderBuckets> _ladder;
@@ -299,9 +340,54 @@ class EventQueue
             refill();
     }
 
-    /** Give @p fn a slot and file it by @p when; returns the slot. */
-    std::uint32_t push(Tick when, EventFn &&fn, bool timer);
-    /** Return a slot to the free list, bumping its generation. */
+    EventFn &
+    fnOf(std::uint32_t slot)
+    {
+        return _fns[slot / callbackChunkSize][slot % callbackChunkSize];
+    }
+
+    /** Build @p fn in a free slot, file it by @p when; returns the slot. */
+    template <typename F>
+    std::uint32_t
+    push(Tick when, bool timer, F &&fn)
+    {
+        std::uint32_t slot = _freeHead;
+        if (slot != nil) [[likely]]
+            _freeHead = _slots[slot].next;
+        else
+            slot = growSlab();
+        EventFn &dst = fnOf(slot);
+        if constexpr (noexcept(dst.emplace(std::forward<F>(fn)))) {
+            dst.emplace(std::forward<F>(fn));
+        } else {
+            // A copy that can throw (a std::function lvalue, say) must
+            // not leak the slot it was taking.
+            try {
+                dst.emplace(std::forward<F>(fn));
+            } catch (...) {
+                release(slot);
+                throw;
+            }
+        }
+        file(slot, when, timer);
+        return slot;
+    }
+    /** Append a new slot, and a callback chunk when it starts one. */
+    std::uint32_t growSlab();
+    /** Diagnose a schedule for a past tick; returns now. */
+    Tick clampPast(Tick when) const;
+    /** File @p slot, its callback built, in its tier by @p when. */
+    void file(std::uint32_t slot, Tick when, bool timer);
+    /** Make the slot's TimerId stale: bump the generation, clear flags. */
+    void retire(std::uint32_t slot);
+    /** Put a retired slot, whose callback is gone, on the free list. */
+    void
+    release(std::uint32_t slot)
+    {
+        _slots[slot].next = _freeHead;
+        _freeHead = slot;
+    }
+    /** Retire and release a tombstone's slot. */
     void freeSlot(std::uint32_t slot);
     void append(std::size_t idx, std::uint32_t slot);
     /** Unlink and return the head of bucket @p idx. */

@@ -32,6 +32,7 @@
 #define GRIFFIN_SIM_INLINE_FN_HH
 
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -66,18 +67,9 @@ class InlineFn<R(Args...)>
                   !std::is_same_v<D, InlineFn> &&
                   !std::is_same_v<D, std::nullptr_t> &&
                   std::is_invocable_r_v<R, D &, Args...>>>
-    InlineFn(F &&fn)
+    InlineFn(F &&fn) noexcept(std::is_nothrow_constructible_v<D, F>)
     {
-        static_assert(sizeof(D) <= capacity,
-                      "capture too large for InlineFn's inline storage: "
-                      "shrink the capture or wrap the callable in "
-                      "sim::boxed()");
-        static_assert(alignof(D) <= alignment,
-                      "capture over-aligned for InlineFn storage");
-        static_assert(std::is_nothrow_move_constructible_v<D>,
-                      "InlineFn requires nothrow-movable captures");
-        ::new (static_cast<void *>(_buf)) D(std::forward<F>(fn));
-        _ops = opsFor<D>();
+        construct<D>(std::forward<F>(fn));
     }
 
     InlineFn(InlineFn &&other) noexcept { moveFrom(other); }
@@ -99,6 +91,24 @@ class InlineFn<R(Args...)>
         return *this;
     }
 
+    /**
+     * Replace the target with @p fn, building the capture directly in
+     * this object's storage: no intermediate InlineFn is made and
+     * relocated. An InlineFn argument is moved in like operator=.
+     */
+    template <typename F, typename D = std::decay_t<F>>
+    void
+    emplace(F &&fn) noexcept(std::is_same_v<D, InlineFn> ||
+                             std::is_nothrow_constructible_v<D, F>)
+    {
+        if constexpr (std::is_same_v<D, InlineFn>) {
+            *this = std::forward<F>(fn);
+        } else {
+            reset();
+            construct<D>(std::forward<F>(fn));
+        }
+    }
+
     InlineFn(const InlineFn &) = delete;
     InlineFn &operator=(const InlineFn &) = delete;
 
@@ -118,6 +128,13 @@ class InlineFn<R(Args...)>
     }
 
   private:
+    /**
+     * The target's type-erased operations. A null relocate means the
+     * capture is trivially copyable and a fixed capacity-byte memcpy
+     * moves it; a null destroy means it is trivially destructible.
+     * Either way the hot {component, record} captures move and die
+     * without an indirect call.
+     */
     struct Ops
     {
         R (*invoke)(void *, Args...);
@@ -135,19 +152,44 @@ class InlineFn<R(Args...)>
                 return (*static_cast<D *>(p))(
                     std::forward<Args>(args)...);
             },
-            [](void *dst, void *src) noexcept {
-                ::new (dst) D(std::move(*static_cast<D *>(src)));
-                static_cast<D *>(src)->~D();
-            },
-            [](void *p) noexcept { static_cast<D *>(p)->~D(); }};
+            std::is_trivially_copyable_v<D>
+                ? nullptr
+                : +[](void *dst, void *src) noexcept {
+                      ::new (dst) D(std::move(*static_cast<D *>(src)));
+                      static_cast<D *>(src)->~D();
+                  },
+            std::is_trivially_destructible_v<D>
+                ? nullptr
+                : +[](void *p) noexcept { static_cast<D *>(p)->~D(); }};
         return &ops;
+    }
+
+    /** Build a D from @p fn in the (empty) buffer. */
+    template <typename D, typename F>
+    void
+    construct(F &&fn)
+    {
+        static_assert(std::is_invocable_r_v<R, D &, Args...>,
+                      "InlineFn target is not callable with this "
+                      "signature");
+        static_assert(sizeof(D) <= capacity,
+                      "capture too large for InlineFn's inline storage: "
+                      "shrink the capture or wrap the callable in "
+                      "sim::boxed()");
+        static_assert(alignof(D) <= alignment,
+                      "capture over-aligned for InlineFn storage");
+        static_assert(std::is_nothrow_move_constructible_v<D>,
+                      "InlineFn requires nothrow-movable captures");
+        ::new (static_cast<void *>(_buf)) D(std::forward<F>(fn));
+        _ops = opsFor<D>();
     }
 
     void
     reset() noexcept
     {
         if (_ops) {
-            _ops->destroy(_buf);
+            if (_ops->destroy)
+                _ops->destroy(_buf);
             _ops = nullptr;
         }
     }
@@ -155,9 +197,12 @@ class InlineFn<R(Args...)>
     void
     moveFrom(InlineFn &other) noexcept
     {
-        if (other._ops) {
-            other._ops->relocate(_buf, other._buf);
-            _ops = other._ops;
+        if (const Ops *ops = other._ops) {
+            if (ops->relocate)
+                ops->relocate(_buf, other._buf);
+            else
+                std::memcpy(_buf, other._buf, capacity);
+            _ops = ops;
             other._ops = nullptr;
         }
     }

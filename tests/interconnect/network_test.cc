@@ -6,11 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "src/interconnect/link.hh"
 #include "src/interconnect/switch.hh"
 #include "src/sim/engine.hh"
+#include "tests/sim/move_probe.hh"
 
 using namespace griffin;
 using ic::Link;
@@ -126,6 +130,50 @@ TEST(Link, MilderOverlapAppliesAfterSevereWindowCloses)
     EXPECT_DOUBLE_EQ(link.degradeFactorAt(2500), 1.0);
 }
 
+TEST(Link, ServiceTimeMatchesTheFloatingPointFormula)
+{
+    // Whole bytes-per-cycle links serialize with integer arithmetic
+    // while no window is open; fractional ones, and any message inside
+    // a window, take the double path. Every path must give the service
+    // time max(1, ceil(bytes / (bytesPerCycle * factor))). A window
+    // that closes part-way sends the later messages back to the
+    // integer path.
+    const Tick latency = 7;
+    const std::vector<std::uint64_t> large = {
+        std::uint64_t(1) << 40, (std::uint64_t(1) << 40) + 1,
+        (std::uint64_t(1) << 53) - 1};
+    enum class Window { None, Open, ClosesMidway };
+    for (const double bpc : {1.0, 8.0, 32.0, 64.0, 12.5, 0.5}) {
+        for (const Window window :
+             {Window::None, Window::Open, Window::ClosesMidway}) {
+            SCOPED_TRACE(testing::Message()
+                         << "bytesPerCycle " << bpc << " window "
+                         << int(window));
+            Link link(LinkConfig{bpc, latency});
+            Tick until = 0;
+            if (window == Window::Open)
+                until = Tick(1) << 62;
+            else if (window == Window::ClosesMidway)
+                until = 1000; // part-way through every sweep
+            if (until > 0)
+                link.degrade(until, 0.5);
+            std::vector<std::uint64_t> sizes;
+            for (std::uint64_t bytes = 1; bytes <= 4096; ++bytes)
+                sizes.push_back(bytes);
+            sizes.insert(sizes.end(), large.begin(), large.end());
+            for (const std::uint64_t bytes : sizes) {
+                const Tick start = link.nextFree(0);
+                const double factor = start < until ? 0.5 : 1.0;
+                const Tick expected = std::max<Tick>(
+                    1, Tick(std::ceil(double(bytes) / (bpc * factor))));
+                ASSERT_EQ(link.send(start, 0, bytes) - start - latency,
+                          expected)
+                    << "bytes " << bytes;
+            }
+        }
+    }
+}
+
 TEST(Network, DeliversAfterTwoHops)
 {
     sim::Engine engine;
@@ -136,6 +184,22 @@ TEST(Network, DeliversAfterTwoHops)
     // src up: 2 service + 100; dst down: starts at 102, +2+100 = 204.
     EXPECT_EQ(delivered, 204u);
     EXPECT_EQ(net.messagesDelivered, 1u);
+}
+
+TEST(Network, DeliveryCallbackIsMovedAtMostOnce)
+{
+    // send() takes the receiver's callback by value and moves it into
+    // its delivery event's slot; nothing else moves it.
+    sim::Engine engine;
+    Network net(engine, 5, LinkConfig{32.0, 100});
+    test::ProbeCounts c;
+    const test::MoveProbe probe(c);
+    net.send(1, 2, 64, probe);
+    engine.run();
+    EXPECT_EQ(c.calls, 1);
+    EXPECT_EQ(c.copies, 1);
+    EXPECT_LE(c.moves, 1);
+    EXPECT_EQ(c.live(), 0);
 }
 
 TEST(Network, HotDestinationCongests)

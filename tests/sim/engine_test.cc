@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for sim::Engine: run control, stop requests, watchdog.
+ * Unit tests for sim::Engine: run control, stop requests, watchdog,
+ * and how often scheduling moves an event's capture.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "src/sim/engine.hh"
+#include "tests/sim/move_probe.hh"
 
 using griffin::Tick;
 using griffin::sim::Engine;
@@ -181,4 +183,133 @@ TEST(Engine, TwoHooksFireInGlobalTimeOrder)
     EXPECT_EQ(fires[0], (std::pair<int, Tick>{0, 10}));
     EXPECT_EQ(fires[1], (std::pair<int, Tick>{1, 15}));
     EXPECT_EQ(fires[2], (std::pair<int, Tick>{0, 20}));
+}
+
+// --- Zero-move scheduling --------------------------------------------
+// Every schedule call builds its callable once, in its slot's callback
+// storage, and runOne() invokes and destroys it there. A probe
+// scheduled as an lvalue is therefore copied once and moved never;
+// each instance is destroyed exactly once, whatever ends the event.
+
+using griffin::test::MoveProbe;
+using griffin::test::ProbeCounts;
+
+TEST(EngineMoves, EverySchedulePathMovesTheCaptureZeroTimes)
+{
+    for (int path = 0; path < 3; ++path) {
+        SCOPED_TRACE(path);
+        ProbeCounts c;
+        const MoveProbe probe(c);
+        Engine e;
+        e.schedule(50, [] {}); // the probes below run in the ladder
+        if (path == 0)
+            e.schedule(5, probe);
+        else if (path == 1)
+            e.scheduleAt(5, probe);
+        else
+            e.scheduleTimeout(5, probe);
+        EXPECT_EQ(c.copies, 1);
+        EXPECT_EQ(c.moves, 0);
+        e.run();
+        EXPECT_EQ(c.calls, 1);
+        EXPECT_EQ(c.moves, 0);
+        EXPECT_EQ(c.destroyed, 1);
+    }
+}
+
+TEST(EngineMoves, SpilledEventsMoveTheCaptureZeroTimes)
+{
+    // Far deadlines go through the spill heap and a refill; both move
+    // keys, never callbacks.
+    ProbeCounts c;
+    const MoveProbe probe(c);
+    Engine e;
+    e.schedule(5000, probe);
+    e.scheduleAt(9000, probe);
+    e.scheduleTimeout(100000, probe);
+    e.run();
+    EXPECT_EQ(e.queue().spilledEvents(), 3u);
+    EXPECT_EQ(c.calls, 3);
+    EXPECT_EQ(c.copies, 3);
+    EXPECT_EQ(c.moves, 0);
+    EXPECT_EQ(c.destroyed, 3);
+}
+
+TEST(EngineMoves, ATemporaryIsMovedOnceIntoItsSlot)
+{
+    // A prvalue capture can only be moved into place; that one move is
+    // the construction, and nothing moves it again.
+    ProbeCounts c;
+    Engine e;
+    e.schedule(5, MoveProbe(c));
+    EXPECT_EQ(c.moves, 1);
+    EXPECT_EQ(c.destroyed, 1); // the temporary
+    e.run();
+    EXPECT_EQ(c.moves, 1);
+    EXPECT_EQ(c.calls, 1);
+    EXPECT_EQ(c.destroyed, 2);
+}
+
+TEST(EngineMoves, AnEventFnArgumentIsRelocatedOnce)
+{
+    // A callback already held in an EventFn (a cold member such as a
+    // completion continuation) is relocated into its slot once.
+    ProbeCounts c;
+    const MoveProbe probe(c);
+    Engine e;
+    griffin::sim::EventFn fn(probe);
+    e.schedule(5, std::move(fn));
+    e.run();
+    EXPECT_EQ(c.copies, 1);
+    EXPECT_EQ(c.moves, 1);
+    EXPECT_EQ(c.calls, 1);
+    EXPECT_EQ(c.live(), 0);
+}
+
+TEST(EngineMoves, CancelledTimeoutDestroysItsCaptureOnce)
+{
+    ProbeCounts c;
+    const MoveProbe probe(c);
+    Engine e;
+    const auto id = e.scheduleTimeout(10, probe);
+    ASSERT_TRUE(e.cancelTimeout(id));
+    EXPECT_EQ(c.destroyed, 1);
+    e.run();
+    EXPECT_EQ(c.calls, 0);
+    EXPECT_EQ(c.moves, 0);
+    EXPECT_EQ(c.destroyed, 1);
+}
+
+TEST(EngineMoves, ThrowingCallbackDestroysItsCaptureOnce)
+{
+    ProbeCounts c;
+    const MoveProbe probe(c, /*throwing=*/true);
+    Engine e;
+    e.schedule(10, probe);
+    e.schedule(20, [] {});
+    EXPECT_THROW(e.run(), std::runtime_error);
+    EXPECT_EQ(c.calls, 1);
+    EXPECT_EQ(c.moves, 0);
+    EXPECT_EQ(c.destroyed, 1);
+    EXPECT_EQ(e.pendingEvents(), 1u);
+    EXPECT_EQ(e.run(), 20u);
+    EXPECT_EQ(c.destroyed, 1);
+}
+
+TEST(EngineMoves, PendingEventsAreDestroyedOnceWithTheEngine)
+{
+    ProbeCounts c;
+    const MoveProbe probe(c);
+    {
+        Engine e;
+        e.schedule(5, probe);          // ladder
+        e.scheduleAt(5000, probe);     // spill
+        e.scheduleTimeout(10, probe);  // timer
+        e.runUntil(1);
+        EXPECT_EQ(c.destroyed, 0);
+    }
+    EXPECT_EQ(c.calls, 0);
+    EXPECT_EQ(c.copies, 3);
+    EXPECT_EQ(c.moves, 0);
+    EXPECT_EQ(c.destroyed, 3);
 }

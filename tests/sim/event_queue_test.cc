@@ -1,14 +1,17 @@
 /**
  * @file
  * Unit tests for sim::EventQueue: ordering, same-tick FIFO, nested
- * scheduling, run-until semantics, and the slot slab behind them.
+ * scheduling, run-until semantics, the slot slab behind them, and
+ * in-place dispatch from the callback chunks.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -809,4 +812,103 @@ TEST(EventQueueSlab, DeadlineNearMaxTickRuns)
     EXPECT_EQ(q.run(), griffin::maxTick - 1);
     EXPECT_EQ(order, (std::vector<int>{0, 2, 1}));
     EXPECT_TRUE(q.empty());
+}
+
+// --- In-place dispatch -----------------------------------------------
+// Callbacks live in fixed-size chunks apart from the slot slab and run
+// where they were built; the slot is freed only after its callback
+// returns or throws.
+
+TEST(EventQueueInPlace, FirstChunkComesWithTheFirstSchedule)
+{
+    EventQueue q;
+    EXPECT_EQ(q.callbackChunks(), 0u);
+    EXPECT_EQ(q.slotsAllocated(), 0u);
+    q.schedule(1, [] {});
+    EXPECT_EQ(q.callbackChunks(), 1u);
+    q.run();
+    EXPECT_EQ(q.callbackChunks(), 1u);
+}
+
+TEST(EventQueueInPlace, CallbackSurvivesTheGrowthItCauses)
+{
+    // A running callback schedules more than two chunks' worth of
+    // events, so both the slot slab and the chunk vector grow under
+    // it; its own captures must still read back intact.
+    EventQueue q;
+    constexpr std::size_t children = 2 * EventQueue::callbackChunkSize + 50;
+    constexpr std::uint64_t expectedKey = 0xfeedfacecafebeefull;
+    struct Seen
+    {
+        std::size_t ran = 0;
+        bool intact = false;
+    } seen;
+    // 56 bytes of capture, a heap-allocated (non-SSO) string among
+    // them: a callback moved while running would read freed memory.
+    q.schedule(1, [&q, &seen, tag = std::string(40, 'x'),
+                   key = expectedKey] {
+        for (std::size_t i = 0; i < children; ++i)
+            q.schedule(1 + i % 7, [&seen] { ++seen.ran; });
+        seen.intact = tag == std::string(40, 'x') && key == expectedKey;
+    });
+    q.run();
+    EXPECT_TRUE(seen.intact);
+    EXPECT_EQ(seen.ran, children);
+    EXPECT_GE(q.callbackChunks(), 3u);
+    EXPECT_GE(q.slotsAllocated(), children + 1);
+}
+
+TEST(EventQueueInPlace, ThrowingCallbackReleasesItsCaptureAndItsSlot)
+{
+    EventQueue q;
+    auto token = std::make_shared<int>(0);
+    q.schedule(1, [token] { throw std::runtime_error("boom"); });
+    EXPECT_EQ(token.use_count(), 2);
+    EXPECT_THROW(q.runOne(), std::runtime_error);
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_TRUE(q.empty());
+    // The thrower's slot is back on the free list.
+    bool ran = false;
+    q.schedule(1, [&ran] { ran = true; });
+    EXPECT_EQ(q.slotsAllocated(), 1u);
+    q.run();
+    EXPECT_TRUE(ran);
+}
+
+TEST(EventQueueInPlace, RunningCallbackDoesNotShareItsSlot)
+{
+    // The slot of the running event is off the free list until its
+    // callback is gone, so a schedule from inside takes another one.
+    EventQueue q;
+    std::size_t during = 0;
+    q.schedule(1, [&] {
+        q.schedule(1, [] {});
+        during = q.slotsAllocated();
+    });
+    q.run();
+    EXPECT_EQ(during, 2u);
+    EXPECT_EQ(q.slotsAllocated(), 2u);
+}
+
+TEST(EventQueueInPlace, ThrowingCopyLeavesNoEventAndFreesItsSlot)
+{
+    // An lvalue callable is copied into its slot; a copy that throws
+    // schedules nothing and returns the slot it was taking.
+    struct CopyThrows
+    {
+        CopyThrows() = default;
+        CopyThrows(const CopyThrows &) { throw std::runtime_error("copy"); }
+        CopyThrows(CopyThrows &&) noexcept = default;
+        void operator()() const {}
+    };
+    EventQueue q;
+    const CopyThrows callable;
+    EXPECT_THROW(q.schedule(1, callable), std::runtime_error);
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.residentEntries(), 0u);
+    bool ran = false;
+    q.schedule(1, [&ran] { ran = true; });
+    EXPECT_EQ(q.slotsAllocated(), 1u);
+    q.run();
+    EXPECT_TRUE(ran);
 }

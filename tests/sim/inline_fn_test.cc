@@ -1,13 +1,18 @@
 /**
  * @file
  * Unit tests for sim::InlineFn: inline storage, move semantics,
- * capture destruction, argument passing, and the boxed() escape
- * hatch for captures that exceed the inline budget.
+ * capture destruction, argument passing, the boxed() escape hatch
+ * for captures that exceed the inline budget, and exact ownership
+ * through trivial and non-trivial relocation.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "src/sim/inline_fn.hh"
@@ -155,4 +160,118 @@ TEST(InlineFn, SelfContainedEventShape)
         boxed([inner = std::move(inner)]() mutable { inner(); }));
     outer();
     EXPECT_EQ(hits, 1);
+}
+
+// --- Relocation ------------------------------------------------------
+// A trivially copyable capture moves as a fixed capacity-byte memcpy
+// and is never destroyed through the ops table; every other capture
+// moves through its own move constructor. Either way ownership must
+// come out exact.
+
+TEST(InlineFn, TriviallyCopyableCaptureRoundTripsBitForBit)
+{
+    struct Words
+    {
+        std::uint64_t w[7];
+        void
+        operator()(std::uint64_t *out) const
+        {
+            std::copy(std::begin(w), std::end(w), out);
+        }
+    };
+    static_assert(std::is_trivially_copyable_v<Words>);
+    using Fn = InlineFn<void(std::uint64_t *)>;
+    static_assert(sizeof(Words) == Fn::capacity);
+    Words in{};
+    for (std::size_t i = 0; i < 7; ++i)
+        in.w[i] = 0x0123456789abcdefull * (i + 1) ^ (~0ull >> i);
+
+    Fn a(in);
+    Fn b(std::move(a));
+    Fn c;
+    c = std::move(b);
+    Fn d(std::move(c));
+    EXPECT_FALSE(a); // NOLINT(bugprone-use-after-move): empty by contract
+    EXPECT_FALSE(b); // NOLINT(bugprone-use-after-move)
+    EXPECT_FALSE(c); // NOLINT(bugprone-use-after-move)
+    std::uint64_t out[7] = {};
+    d(out);
+    for (std::size_t i = 0; i < 7; ++i)
+        EXPECT_EQ(out[i], in.w[i]) << "word " << i;
+
+    // A small trivially copyable capture survives the full-buffer copy.
+    InlineFn<int()> small([x = 17, y = 25] { return x + y; });
+    InlineFn<int()> moved(std::move(small));
+    EXPECT_EQ(moved(), 42);
+}
+
+TEST(InlineFn, SharedPtrCaptureKeepsAnExactUseCount)
+{
+    auto token = std::make_shared<int>(7);
+    InlineFn<long()> a([token] { return token.use_count(); });
+    EXPECT_EQ(token.use_count(), 2);
+    InlineFn<long()> b(std::move(a));
+    EXPECT_EQ(token.use_count(), 2);
+    InlineFn<long()> c;
+    c = std::move(b);
+    EXPECT_EQ(token.use_count(), 2);
+    EXPECT_EQ(c(), 2);
+    // Assigning over a live target releases the old capture first.
+    InlineFn<long()> d([token] { return 0L; });
+    EXPECT_EQ(token.use_count(), 3);
+    d = std::move(c);
+    EXPECT_EQ(token.use_count(), 2);
+    d = nullptr;
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(InlineFn, UniquePtrCaptureKeepsItsOwnership)
+{
+    auto owned = std::make_unique<Tracked>();
+    const Tracked *const raw = owned.get();
+    InlineFn<const Tracked *()> a([p = std::move(owned)] { return p.get(); });
+    InlineFn<const Tracked *()> b(std::move(a));
+    InlineFn<const Tracked *()> c;
+    c = std::move(b);
+    EXPECT_EQ(Tracked::live, 1);
+    EXPECT_EQ(c(), raw);
+    c = nullptr;
+    EXPECT_EQ(Tracked::live, 0);
+}
+
+TEST(InlineFn, BoxedCaptureKeepsItsOwnershipThroughMoves)
+{
+    struct Pad
+    {
+        long payload[32] = {};
+    };
+    auto token = std::make_shared<int>(0);
+    InlineFn<long()> a(boxed([token, pad = Pad{}] {
+        return token.use_count() + pad.payload[0];
+    }));
+    EXPECT_EQ(token.use_count(), 2);
+    InlineFn<long()> b(std::move(a));
+    InlineFn<long()> c;
+    c = std::move(b);
+    EXPECT_EQ(token.use_count(), 2);
+    EXPECT_EQ(c(), 2);
+    c = nullptr;
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(InlineFn, EmplaceBuildsInPlaceAndReplacesTheOldTarget)
+{
+    InlineFn<int()> fn([t = Tracked{}] { return 1; });
+    EXPECT_EQ(Tracked::live, 1);
+    fn.emplace([] { return 2; });
+    EXPECT_EQ(Tracked::live, 0);
+    EXPECT_EQ(fn(), 2);
+    // An InlineFn argument is moved in, as by operator=.
+    InlineFn<int()> other([t = Tracked{}] { return 3; });
+    fn.emplace(std::move(other));
+    EXPECT_FALSE(other); // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(Tracked::live, 1);
+    EXPECT_EQ(fn(), 3);
+    fn = nullptr;
+    EXPECT_EQ(Tracked::live, 0);
 }
